@@ -1,15 +1,15 @@
 """Benchmark of the crossrec lifecycle, end to end and per layer.
 
-    python3 benchmarks/run.py --workload S --seed 1 --seconds 30 --trace 0
+    python3 benchmarks/run.py --workload S --seed 1 --seconds 55 --trace 0
 
 Run it from the root of a checkout; it imports crossrec from ``src/``.
 It writes the workload's corpus from ``--seed`` with its own generator,
-in a process of its own, then runs cycles of jobs for about
-``--seconds`` seconds, each job in a fresh process:
+in a process of its own, then runs jobs for about ``--seconds``
+seconds, each job in a fresh process:
 
-- ``--trace 0``: the program's generator (``synth_s``), train set-ups
-  (``setup_s``) and a whole pipeline round per cycle. It prints the
-  end-to-end metrics.
+- ``--trace 0``: one checked pipeline round, then sample jobs that
+  rotate through every stage, the program's generator included, and
+  time each stage many times. It prints the end-to-end metrics.
 - ``--trace 1``: one untraced round, then cycles of the generator and a
   traced round, whose spans give the per-layer metrics. Spans go to
   ``.bench_work/spans/`` as JSONL.
@@ -43,8 +43,16 @@ WORK = os.path.join(ROOT, ".bench_work")
 HARD_LIMIT_S = 170.0   # the whole run, corpus included, ends before this
 BLAS_THREADS = "1"
 
-# figures of each untraced round kept in the run report
-ROUND_KEYS = ("pipeline_s", "peak_rss_mb", "stage_s", "epoch_rates", "eval_rates")
+# An untraced run times stages in sample jobs of at most SLICE_S seconds,
+# each a fresh process: a process can be a few percent faster or slower
+# than another for its whole life, and the median over several averages
+# that out. No job starts with less than MIN_SLICE_S of the window left.
+SLICE_S = 12.0
+MIN_SLICE_S = 2.0
+# samples pooled over an untraced run's jobs; the run report file keeps them
+POOLED = ("setup_s", "epoch_rates", "eval_rates", "synth_s")
+# long lists that the run report file keeps and the printed report leaves out
+FILE_ONLY = POOLED + ("stage_raw_s", "stage_scaled_s")
 
 
 def metric_units(trace: int) -> dict:
@@ -148,28 +156,14 @@ def main(argv=None) -> int:
     return 0 if correct and failed == 0 and all(m for _, m in results.values()) else 1
 
 
-def fast_end(samples, rate: bool) -> float:
-    """The fast end of a run's samples: the 90th percentile of rates, or
-    the 10th of times. Interference from other work on the host only
-    ever slows a sample, so this end tracks the program's own speed
-    better than the median does (see README)."""
-    samples = sorted(samples)
-    if len(samples) == 1:
-        return samples[0]
-    deciles = statistics.quantiles(samples, n=10, method="inclusive")
-    return deciles[-1] if rate else deciles[0]
-
-
 def measure(run: Run, tmp: str) -> dict:
-    """Generate the corpus, run cycles of jobs until the window ends,
-    print the workload's metrics and report, and return the metrics.
+    """Generate the corpus, run the jobs until the window ends, print the
+    workload's metrics and report, and return the metrics.
 
-    A cycle is a synth job, a set-up job (untraced runs only) and one
-    round, so the samples of every metric spread over the whole window:
-    on a shared host, speed can swing by tens of percent for seconds to
-    minutes at a time. Every cycle attempts the same operations. A
-    traced run first makes one untraced round to compare against, and
-    its cycles make traced rounds.
+    An untraced run makes one checked round, then sample jobs of at most
+    SLICE_S seconds each, which time every stage over and over (see
+    worker.py). A traced run makes one untraced round to compare
+    against, then cycles of a synth job and a traced round.
     """
     args, wl = run.args, run.wl
     corpus = os.path.join(tmp, "corpus")
@@ -188,31 +182,33 @@ def measure(run: Run, tmp: str) -> dict:
         res = run.job("round", tmp, "--corpus", corpus, "--trace", str(int(traced)),
                       "--spans", spans)
         if res is None:
-            run.lost(wl.round_operations(traced))
+            run.lost(wl.round_operations)
         return res if res is not None and "pipeline_s" in res else None
 
-    rounds, traced, synth, setup_s = [], [], [], []
-    if traced_run:
-        first = round_job(False, 0)
-        rounds += [first] if first else []
-    while not traced_run or rounds:
-        t0 = time.perf_counter()
-        repeats = 1 if traced_run else wl.synth_repeats
-        res = run.job("synth", tmp, "--tmp", tmp, "--repeats", str(repeats))
+    first = round_job(False, 0)
+    rounds = [first] if first else []
+    traced, synth, samples = [], [], []
+    while rounds and not traced_run:
+        left = window_end - time.perf_counter()
+        if left < MIN_SLICE_S:
+            break
+        res = run.job("sample", tmp, "--corpus", corpus, "--tmp", tmp,
+                      "--budget", str(min(SLICE_S, left)))
         if res is None:
-            run.lost(repeats)
+            run.lost(wl.rotation_operations)
+            break
+        samples.append(res)
+    while rounds and traced_run:
+        t0 = time.perf_counter()
+        res = run.job("synth", tmp, "--tmp", tmp)
+        if res is None:
+            run.lost(1)
             break
         synth.append(res)
-        if not traced_run:
-            res = run.job("setup", tmp, "--corpus", corpus, "--repeats", str(wl.setup_repeats))
-            if res is None:
-                run.lost(3 * wl.setup_repeats)
-                break
-            setup_s += res["setup_s"]
-        res = round_job(traced_run, len(rounds) + len(traced))
+        res = round_job(True, len(traced) + 1)
         if res is None:
             break
-        (traced if traced_run else rounds).append(res)
+        traced.append(res)
         # start another cycle if at least half of one as long as the last fits
         now = time.perf_counter()
         wall = now - t0
@@ -226,34 +222,47 @@ def measure(run: Run, tmp: str) -> dict:
     if len({r["ndcg_at_10"] for r in rounds + traced}) > 1:
         run.mismatch("NDCG@10 differs between rounds")
 
-    report.update(rounds=len(rounds), traced_rounds=len(traced),
+    report.update(traced_rounds=len(traced), sample_jobs=len(samples),
                   checkpoint_sha256=sorted(digests),
                   blas_threads=sorted({r["blas_threads"] for r in rounds + traced}))
-    synth_s = [s for res in synth for s in res["synth_s"]]
     metrics = {}
-    if not traced_run and rounds and synth_s:
-        setup_s += [r["setup_s"] for r in rounds]
+    if not traced_run and rounds and samples:
+        # the round's own timings are left out: it runs in one process,
+        # and on S its 150 epochs would outweigh every sample job's
+        pooled = {key: [x for res in samples for x in res[key]] for key in POOLED}
+        scaled, raw = {}, {}
+        for res in samples:
+            for op, ts in res["scaled"].items():
+                scaled.setdefault(op, []).extend(ts)
+            for op, ts in res["times"].items():
+                raw.setdefault(op, []).extend(ts)
+        med = statistics.median
         metrics = {
-            "setup_s": fast_end(setup_s, rate=False),
-            "train_triplets_per_s": fast_end([x for r in rounds for x in r["epoch_rates"]],
-                                             rate=True),
-            "eval_tasks_per_s": fast_end([x for r in rounds for x in r["eval_rates"]],
-                                         rate=True),
-            "pipeline_s": fast_end([r["pipeline_s"] for r in rounds], rate=False),
-            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rounds),
-            "synth_s": fast_end(synth_s, rate=False),
-            "ndcg_at_10": rounds[0]["ndcg_at_10"],
+            "setup_s": med(pooled["setup_s"]),
+            "train_triplets_per_s": med(pooled["epoch_rates"]),
+            "eval_tasks_per_s": med(pooled["eval_rates"]),
+            "pipeline_s": sum(n * med(scaled[op]) for op, n in wl.pipeline_calls().items()),
+            "peak_rss_mb": first["peak_rss_mb"],
+            "synth_s": med(pooled["synth_s"]),
+            "ndcg_at_10": first["ndcg_at_10"],
         }
-        report.update(setup_s=setup_s, synth_s=synth_s, hr_at_10=rounds[0]["hr_at_10"],
-                      tasks=rounds[0]["tasks"], triplets=rounds[0]["triplets"],
-                      per_round=[{k: r[k] for k in ROUND_KEYS} for r in rounds])
-    elif traced_run and rounds and traced and synth_s:
+        report.update(samples={key: len(v) for key, v in pooled.items()},
+                      stage_samples={op: len(ts) for op, ts in scaled.items()},
+                      # the same figures from wall times, before calibration
+                      raw_pipeline_s=sum(n * med(raw[op])
+                                         for op, n in wl.pipeline_calls().items()),
+                      raw_stage_median_s={op: med(ts) for op, ts in raw.items()},
+                      stage_raw_s=raw, stage_scaled_s=scaled,
+                      hr_at_10=first["hr_at_10"], tasks=first["tasks"],
+                      triplets=first["triplets"], round_pipeline_s=first["pipeline_s"],
+                      **pooled)
+    elif traced_run and rounds and traced and synth:
         layers = {k: statistics.median(t["layers"][k] for t in traced)
                   for k in traced[0]["layers"]}
         layers["baselines.generate_synthetic.s"] = statistics.median(
             s for res in synth for s in res["generate_s"])
         layers["trace.overhead_s"] = (statistics.median(t["pipeline_s"] for t in traced)
-                                      - rounds[0]["pipeline_s"])
+                                      - first["pipeline_s"])
         metrics = layers
     if metrics and set(metrics) != set(units):
         raise SystemExit(f"error: metrics {sorted(set(metrics) ^ set(units))} "
@@ -268,7 +277,7 @@ def measure(run: Run, tmp: str) -> dict:
     for name, m in metrics.items():
         print(f"{wl.name}\t{name}\t{m['value']:.6g}\t{m['unit']}")
     print(f"{wl.name}\tattempted\t{run.attempted}\tfailed\t{run.failed}")
-    print("report " + json.dumps(report))
+    print("report " + json.dumps({k: v for k, v in report.items() if k not in FILE_ONLY}))
     return metrics
 
 

@@ -32,16 +32,27 @@ class Workload:
     name: str
     corpus: CorpusShape
     train: dict                 # TrainConfig keyword arguments (seed added per run)
-    # per cycle of an untraced run (see run.py)
-    setup_repeats: int          # train set-ups, timed in a process of their own
-    synth_repeats: int          # program-generator calls, timed in a process of their own
-    eval_repeats: int           # extra eval passes of each round, for eval_tasks_per_s
+    # epochs in each rotation of worker.py's sample job: about as long as
+    # the rotation's other stages together, so epochs get no fewer samples
+    epochs_per_rotation: int
 
-    def round_operations(self, traced: bool) -> int:
-        """Operations one round attempts: parse, split and graph twice,
-        every epoch, save, load, then task build and rank per eval pass."""
-        passes = 1 if traced else 1 + self.eval_repeats
-        return 8 + self.train["epochs"] + 2 * passes
+    def pipeline_calls(self) -> dict:
+        """Stage -> calls in one pass of ``crossrec train`` and then
+        ``crossrec eval``: parse, split and graph once per command."""
+        return {"parse": 2, "split": 2, "graph": 2, "model_init": 1,
+                "epoch": self.train["epochs"], "save": 1, "load": 1, "tasks": 1, "rank": 1}
+
+    @property
+    def round_operations(self) -> int:
+        """Operations one round attempts: every pipeline call but the
+        model's construction, which is not a stage of its own."""
+        return sum(self.pipeline_calls().values()) - 1
+
+    @property
+    def rotation_operations(self) -> int:
+        """Operations one rotation attempts: synth, parse, split, graph,
+        its epochs, save, load, task build and rank."""
+        return 8 + self.epochs_per_rotation
 
 
 WORKLOADS = {
@@ -51,28 +62,14 @@ WORKLOADS = {
                            per_user_per_domain=4),
         train=dict(epochs=150, dim=16, layers=2, lr=0.01, lambda_reg=1e-5,
                    mode="full", mean_aggregation=True),
-        setup_repeats=2,
-        synth_repeats=5,
-        eval_repeats=2,
+        epochs_per_rotation=5,
     ),
     "M": Workload(
         name="M",
-        corpus=CorpusShape(num_users=3000, items_per_domain=2000, num_domains=3,
+        corpus=CorpusShape(num_users=2000, items_per_domain=2000, num_domains=3,
                            per_user_per_domain=10),
         train=dict(epochs=3, dim=64, layers=2, lr=0.01, lambda_reg=1e-5,
                    mode="full", mean_aggregation=True),
-        setup_repeats=1,
-        synth_repeats=2,
-        eval_repeats=0,
-    ),
-    "dense": Workload(
-        name="dense",
-        corpus=CorpusShape(num_users=1000, items_per_domain=150, num_domains=4,
-                           per_user_per_domain=30),
-        train=dict(epochs=20, dim=32, layers=1, lr=0.01, lambda_reg=1e-5,
-                   mode="full", mean_aggregation=False),
-        setup_repeats=1,
-        synth_repeats=3,
-        eval_repeats=3,
+        epochs_per_rotation=1,
     ),
 }
