@@ -1,8 +1,8 @@
 """Comparison models and controlled synthetic data.
 
-The factorization baseline and the conv-model ablations all train and
-evaluate through the shared trainer/evaluator, so metric differences
-come from the models alone. The synthetic generator plants a tunable
+The factorization baseline trains and evaluates through the shared
+trainer/evaluator, as the conv model's single-path modes do, so metric
+differences come from the models alone. The synthetic generator plants a tunable
 amount of cross-domain preference signal for trend experiments.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import InteractionLog
 from .graph import HeteroGraph
-from .model import Activations, DisentangledGraphModel, MODES
+from .model import Activations
 
 logger = logging.getLogger(__name__)
 
@@ -86,16 +86,6 @@ class MfModel:
     def outputs(self):
         acts = self.forward()
         return acts.o_u, acts.o_i
-
-
-def ablation(graph: HeteroGraph, dim: int, layers: int, mode: str,
-             seed: int = 0, **kwargs) -> DisentangledGraphModel:
-    """Conv model restricted to one path; mode 'full' is the unrestricted
-    network, bit-identical to constructing it directly."""
-    if mode not in MODES:
-        raise ValueError(f"unknown ablation mode {mode!r}; expected one of {MODES}")
-    return DisentangledGraphModel(graph, dim=dim, layers=layers, mode=mode,
-                                  seed=seed, **kwargs)
 
 
 @dataclass

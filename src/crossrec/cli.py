@@ -101,7 +101,6 @@ TRAIN_KEYS = {
     "tie_relation_weights": _bool,
     "mean_aggregation": _bool,
     "reg_per_domain": _bool,
-    "alternate_domains": _bool,
     "use_validation": _bool,
     "eval_every": int,
     "num_eval_negatives": int,

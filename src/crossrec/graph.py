@@ -142,59 +142,3 @@ def build_graph(train: InteractionLog) -> HeteroGraph:
     return HeteroGraph(num_users, [train.num_items(d) for d in range(train.num_domains)],
                        relations)
 
-
-_MAGIC = 0x48475231  # "HGR1"
-
-
-def dump_graph(path: str, g: HeteroGraph) -> None:
-    """Binary dump: little-endian int32 header then per-relation CSR.
-
-    Layout: magic, |D|, U, I_0..I_{D-1}, then for each domain ascending,
-    IU offsets, IU indices, UI offsets, UI indices. Offsets lengths are
-    implied by the header; index counts by the final offsets.
-    """
-    chunks = [np.array([_MAGIC, g.num_domains, g.num_users]
-                       + g.num_items_per_domain, dtype="<i4")]
-    for d in range(g.num_domains):
-        for direction in (Direction.ITEM_TO_USER, Direction.USER_TO_ITEM):
-            offsets, indices = g.relation(RelationId(d, direction))
-            chunks.append(offsets.astype("<i4"))
-            chunks.append(indices.astype("<i4"))
-    with open(path, "wb") as fh:
-        for c in chunks:
-            fh.write(c.tobytes())
-
-
-def load_graph(path: str) -> HeteroGraph:
-    with open(path, "rb") as fh:
-        raw = np.frombuffer(fh.read(), dtype="<i4")
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(raw):
-            raise ValueError(f"{path}: truncated graph dump")
-        out = raw[pos:pos + n]
-        pos += n
-        return out.astype(np.int64)
-
-    head = take(3)
-    if head[0] != _MAGIC:
-        raise ValueError(f"{path}: not a graph dump (bad magic)")
-    num_domains, num_users = int(head[1]), int(head[2])
-    items = [int(v) for v in take(num_domains)]
-    relations = {}
-    for d in range(num_domains):
-        for direction, n_targets in ((Direction.ITEM_TO_USER, num_users),
-                                     (Direction.USER_TO_ITEM, items[d])):
-            offsets = take(n_targets + 1)
-            indices = take(int(offsets[-1]))
-            relations[RelationId(d, direction)] = (offsets, indices)
-    if pos != len(raw):
-        raise ValueError(f"{path}: trailing bytes after graph dump")
-    g = HeteroGraph(num_users, items, relations)
-    # revalidate via aggregator construction (checks offsets/index ranges)
-    for d in range(num_domains):
-        g.aggregator(d, Direction.ITEM_TO_USER)
-        g.aggregator(d, Direction.USER_TO_ITEM)
-    return g

@@ -1,9 +1,13 @@
 """Disentangled graph-convolutional recommender.
 
-Every node carries two representation paths: a domain-specific path fed
-only by same-domain neighbors, and a domain-shared path aggregating
-neighbors across all domains. After L conv layers the paths fuse into
-per-domain output embeddings; user/item affinity is a dot product.
+Every node carries its representations along conv paths. A path is a
+kind plus a domain set: the domain-specific path of domain d ("spec",
+{d}) sees only same-domain neighbors, and the domain-shared path
+("shared", all domains) sums neighbors across every domain. One
+relational conv serves both kinds: a self transform plus a neighbor sum
+over the path's domains, each relation through its own matrix. After L
+layers, the paths containing a domain fuse into its output embeddings;
+user/item affinity is a dot product.
 
 Both the forward pass and the exact reverse-mode backward pass are
 spelled out here by hand; no autograd is involved anywhere.
@@ -12,6 +16,7 @@ spelled out here by hand; no autograd is involved anywhere.
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +24,10 @@ import numpy as np
 from .graph import Direction, HeteroGraph
 from .numeric import check_finite, relu, relu_backward
 
-MODES = ("full", "specific_only", "shared_only")
+# the paths of each mode, by kind; specific paths come first
+PATH_KINDS = {"full": ("spec", "shared"), "specific_only": ("spec",),
+              "shared_only": ("shared",)}
+MODES = tuple(PATH_KINDS)
 
 # checkpoint kind ids; 3 is the matrix-factorization baseline
 KIND_BY_MODE = {"full": 0, "specific_only": 1, "shared_only": 2}
@@ -28,14 +36,8 @@ MF_KIND = 3
 
 CHECKPOINT_MAGIC = b"DGM1"
 
-
-def score(o_u_row, o_i_row) -> float:
-    """Dot-product affinity between one user row and one item row."""
-    a = np.asarray(o_u_row, dtype=np.float64)
-    b = np.asarray(o_i_row, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"score expects equal-length rows, got {a.shape} and {b.shape}")
-    return float(a @ b)
+# parameter names of one conv in one domain: self (uu, ii) and neighbor (iu, ui)
+ConvWeights = namedtuple("ConvWeights", "uu ii iu ui")
 
 
 def score_pairs(o_u, o_i, users, items) -> np.ndarray:
@@ -62,26 +64,27 @@ def init_params(seed: int, shapes) -> dict:
 
 
 @dataclass
-class Activations:
-    """Forward-pass caches needed by the backward pass.
+class PathCache:
+    """Forward caches of one conv path: a kind over a tuple of domains.
 
-    Layer lists have layers+1 entries for representations (index 0 is
-    the embedding) and layers entries for pre-activations and cached
-    neighbor aggregates. Absent paths hold None.
+    users[l] and items[l][d] are the layer-l representations (index 0
+    is the embedding). convs[l] holds what layer l's backward needs:
+    the user pre-activation, then per domain the item pre-activations,
+    the item->user neighbor sums and the user->item neighbor sums.
     """
 
-    h_u: list = None     # [d][l] user reps, specific path
-    h_i: list = None     # [d][l] item reps, specific path
-    g_u: list = None     # [l] user reps, shared path
-    g_i: list = None     # [d][l] item reps, shared path
-    pre_hu: list = None  # [d][l]
-    pre_hi: list = None  # [d][l]
-    pre_gu: list = None  # [l]
-    pre_gi: list = None  # [d][l]
-    agg_hu: list = None  # [d][l] item->user sums feeding the specific user update
-    agg_hi: list = None  # [d][l] user->item sums feeding the specific item update
-    agg_gu: list = None  # [d][l] item->user sums feeding the shared user update
-    agg_gi: list = None  # [d][l] user->item sums feeding the shared item update
+    kind: str
+    domains: tuple
+    users: list
+    items: list
+    convs: list = field(default_factory=list)
+
+
+@dataclass
+class Activations:
+    """Forward-pass caches needed by the backward pass."""
+
+    paths: list = field(default_factory=list)  # PathCache per path, specific first
     s_u: list = field(default_factory=list)  # [d] fused user rep before output transform
     o_u: list = field(default_factory=list)  # [d] user outputs
     o_i: list = field(default_factory=list)  # [d] item outputs
@@ -115,6 +118,13 @@ class DisentangledGraphModel:
         self.mode = mode
         self.tie_relation_weights = tie_relation_weights
         self.mean_aggregation = mean_aggregation
+        all_domains = tuple(range(graph.num_domains))
+        self.paths = []  # (kind, domains), specific paths first
+        for kind in PATH_KINDS[mode]:
+            if kind == "spec":
+                self.paths += [(kind, (d,)) for d in all_domains]
+            else:
+                self.paths.append((kind, all_domains))
         if params is None:
             params = init_params(seed, self.param_shapes())
         self._validate_params(params)
@@ -122,13 +132,15 @@ class DisentangledGraphModel:
 
     # -- parameter layout -------------------------------------------------
 
-    @property
-    def has_specific(self) -> bool:
-        return self.mode in ("full", "specific_only")
-
-    @property
-    def has_shared(self) -> bool:
-        return self.mode in ("full", "shared_only")
+    def weight_names(self, kind: str, l: int, d: int) -> ConvWeights:
+        """Parameter names of a kind's layer-l conv in domain d. Tied
+        relation weights are aliases: the shared conv names the specific
+        path's IU/UI matrices."""
+        if kind == "spec":
+            return ConvWeights(*(f"spec_{rel}/l{l}/d{d}" for rel in ConvWeights._fields))
+        rel = "spec" if self.tie_relation_weights else "shared"
+        return ConvWeights(f"shared_uu/l{l}", f"shared_ii/l{l}",
+                           f"{rel}_iu/l{l}/d{d}", f"{rel}_ui/l{l}/d{d}")
 
     def param_shapes(self):
         """Canonical (name, shape) list; serialization and init follow it."""
@@ -136,18 +148,15 @@ class DisentangledGraphModel:
         shapes = [("user_emb", (g.num_users, k))]
         for d in range(g.num_domains):
             shapes.append((f"item_emb/d{d}", (g.num_items_per_domain[d], k)))
+        names = []
         for l in range(self.layers):
-            if self.has_specific:
-                for d in range(g.num_domains):
-                    for rel in ("uu", "iu", "ii", "ui"):
-                        shapes.append((f"spec_{rel}/l{l}/d{d}", (k, k)))
-            if self.has_shared:
-                shapes.append((f"shared_uu/l{l}", (k, k)))
-                shapes.append((f"shared_ii/l{l}", (k, k)))
-                if not self.tie_relation_weights:
-                    for d in range(g.num_domains):
-                        shapes.append((f"shared_iu/l{l}/d{d}", (k, k)))
-                        shapes.append((f"shared_ui/l{l}/d{d}", (k, k)))
+            for kind, domains in self.paths:
+                for d in domains:
+                    uu, ii, iu, ui = self.weight_names(kind, l, d)
+                    # checkpoints store a specific conv's matrices as uu, iu, ii, ui
+                    names += (uu, iu, ii, ui) if kind == "spec" else (uu, ii, iu, ui)
+        # a name repeats for shared uu/ii and for tied aliases; keep its first slot
+        shapes += [(name, (k, k)) for name in dict.fromkeys(names)]
         for d in range(g.num_domains):
             shapes.append((f"out/d{d}", (k, k)))
         return shapes
@@ -164,98 +173,74 @@ class DisentangledGraphModel:
             if params[name].shape != shape:
                 raise ValueError(f"param {name}: shape {params[name].shape}, want {shape}")
 
-    def _sh_iu(self, l: int, d: int) -> np.ndarray:
-        if self.tie_relation_weights:
-            return self.params[f"spec_iu/l{l}/d{d}"]
-        return self.params[f"shared_iu/l{l}/d{d}"]
+    # -- the relational conv -------------------------------------------------
 
-    def _sh_ui(self, l: int, d: int) -> np.ndarray:
-        if self.tie_relation_weights:
-            return self.params[f"spec_ui/l{l}/d{d}"]
-        return self.params[f"shared_ui/l{l}/d{d}"]
+    def _conv_forward(self, path: PathCache, l: int) -> None:
+        """Layer l of one path: each node's self transform plus its
+        neighbor sums over the path's domains, in ascending domain order,
+        each relation through its own matrix. An item only has neighbors
+        in its own domain, so its sum has one term."""
+        P, mean = self.params, self.mean_aggregation
+        w = {d: self.weight_names(path.kind, l, d) for d in path.domains}
+        x_u, x_i = path.users[l], path.items[l]
+        z_u = x_u @ P[w[path.domains[0]].uu]
+        z_i, sums_u, sums_i = {}, {}, {}
+        for d in path.domains:
+            sums_u[d] = self.graph.aggregator(d, Direction.ITEM_TO_USER, mean).apply(x_i[d])
+            z_u = z_u + sums_u[d] @ P[w[d].iu]
+        for d in path.domains:
+            sums_i[d] = self.graph.aggregator(d, Direction.USER_TO_ITEM, mean).apply(x_u)
+            z_i[d] = x_i[d] @ P[w[d].ii] + sums_i[d] @ P[w[d].ui]
+        path.convs.append((z_u, z_i, sums_u, sums_i))
+        path.users.append(relu(z_u))
+        path.items.append({d: relu(z) for d, z in z_i.items()})
 
-    def _sh_iu_name(self, l: int, d: int) -> str:
-        return (f"spec_iu/l{l}/d{d}" if self.tie_relation_weights
-                else f"shared_iu/l{l}/d{d}")
-
-    def _sh_ui_name(self, l: int, d: int) -> str:
-        return (f"spec_ui/l{l}/d{d}" if self.tie_relation_weights
-                else f"shared_ui/l{l}/d{d}")
-
-    def _agg(self, d: int, direction: Direction):
-        return self.graph.aggregator(d, direction, self.mean_aggregation)
+    def _conv_backward(self, path: PathCache, l: int, du: list, di: list,
+                       grads: dict) -> None:
+        """Reverse of _conv_forward: add layer l's weight gradients to
+        grads and its input gradients to du[l] / di[l][d], given the
+        output gradients du[l + 1] / di[l + 1][d]. Neighbor gradients
+        scatter through the transposed CSR."""
+        P, mean = self.params, self.mean_aggregation
+        w = {d: self.weight_names(path.kind, l, d) for d in path.domains}
+        z_u, z_i, sums_u, sums_i = path.convs[l]
+        uu = w[path.domains[0]].uu
+        dz_u = relu_backward(z_u, du[l + 1])
+        grads[uu] += path.users[l].T @ dz_u
+        du[l] += dz_u @ P[uu].T
+        for d in path.domains:
+            grads[w[d].iu] += sums_u[d].T @ dz_u
+            di[l][d] += self.graph.aggregator(d, Direction.ITEM_TO_USER, mean).apply_transpose(
+                dz_u @ P[w[d].iu].T)
+        for d in path.domains:
+            dz_i = relu_backward(z_i[d], di[l + 1][d])
+            grads[w[d].ii] += path.items[l][d].T @ dz_i
+            di[l][d] += dz_i @ P[w[d].ii].T
+            grads[w[d].ui] += sums_i[d].T @ dz_i
+            du[l] += self.graph.aggregator(d, Direction.USER_TO_ITEM, mean).apply_transpose(
+                dz_i @ P[w[d].ui].T)
 
     # -- forward -----------------------------------------------------------
 
     def forward(self) -> Activations:
         """Full-graph forward pass over every domain; caches everything
-        the backward pass needs."""
-        g, P, L, D = self.graph, self.params, self.layers, self.graph.num_domains
+        the backward pass needs. A domain's outputs sum the layer-L
+        representations of every path containing it, in path order."""
+        P, L = self.params, self.layers
         acts = Activations()
-        user_emb = P["user_emb"]
-        item_emb = [P[f"item_emb/d{d}"] for d in range(D)]
-
-        if self.has_specific:
-            acts.h_u = [[user_emb] for _ in range(D)]
-            acts.h_i = [[item_emb[d]] for d in range(D)]
-            acts.pre_hu = [[] for _ in range(D)]
-            acts.pre_hi = [[] for _ in range(D)]
-            acts.agg_hu = [[] for _ in range(D)]
-            acts.agg_hi = [[] for _ in range(D)]
-        if self.has_shared:
-            acts.g_u = [user_emb]
-            acts.g_i = [[item_emb[d]] for d in range(D)]
-            acts.pre_gu = []
-            acts.pre_gi = [[] for _ in range(D)]
-            acts.agg_gu = [[] for _ in range(D)]
-            acts.agg_gi = [[] for _ in range(D)]
-
+        for kind, domains in self.paths:
+            acts.paths.append(PathCache(kind, domains, users=[P["user_emb"]],
+                                        items=[{d: P[f"item_emb/d{d}"] for d in domains}]))
         for l in range(L):
-            if self.has_specific:
-                for d in range(D):
-                    # domain-specific conv: self transform + same-domain
-                    # neighbor sum, each through its own relation matrix
-                    agg_u = self._agg(d, Direction.ITEM_TO_USER).apply(acts.h_i[d][l])
-                    pre_u = (acts.h_u[d][l] @ P[f"spec_uu/l{l}/d{d}"]
-                             + agg_u @ P[f"spec_iu/l{l}/d{d}"])
-                    agg_i = self._agg(d, Direction.USER_TO_ITEM).apply(acts.h_u[d][l])
-                    pre_i = (acts.h_i[d][l] @ P[f"spec_ii/l{l}/d{d}"]
-                             + agg_i @ P[f"spec_ui/l{l}/d{d}"])
-                    acts.agg_hu[d].append(agg_u)
-                    acts.agg_hi[d].append(agg_i)
-                    acts.pre_hu[d].append(pre_u)
-                    acts.pre_hi[d].append(pre_i)
-                    acts.h_u[d].append(relu(pre_u))
-                    acts.h_i[d].append(relu(pre_i))
-            if self.has_shared:
-                # shared user conv sums neighbor messages over all domains
-                # in ascending domain order
-                pre_u = acts.g_u[l] @ P[f"shared_uu/l{l}"]
-                for d in range(D):
-                    agg = self._agg(d, Direction.ITEM_TO_USER).apply(acts.g_i[d][l])
-                    acts.agg_gu[d].append(agg)
-                    pre_u = pre_u + agg @ self._sh_iu(l, d)
-                acts.pre_gu.append(pre_u)
-                acts.g_u.append(relu(pre_u))
-                for d in range(D):
-                    # an item only has neighbors in its own domain, so the
-                    # cross-domain sum collapses to one term
-                    agg = self._agg(d, Direction.USER_TO_ITEM).apply(acts.g_u[l])
-                    acts.agg_gi[d].append(agg)
-                    pre_i = acts.g_i[d][l] @ P[f"shared_ii/l{l}"] + agg @ self._sh_ui(l, d)
-                    acts.pre_gi[d].append(pre_i)
-                    acts.g_i[d].append(relu(pre_i))
+            for path in acts.paths:
+                self._conv_forward(path, l)
 
-        for d in range(D):
-            if self.mode == "full":
-                s_u = acts.h_u[d][L] + acts.g_u[L]
-                o_i = acts.h_i[d][L] + acts.g_i[d][L]
-            elif self.mode == "specific_only":
-                s_u = acts.h_u[d][L]
-                o_i = acts.h_i[d][L]
-            else:
-                s_u = acts.g_u[L]
-                o_i = acts.g_i[d][L]
+        for d in range(self.graph.num_domains):
+            fused = [p for p in acts.paths if d in p.domains]
+            s_u, o_i = fused[0].users[L], fused[0].items[L][d]
+            for p in fused[1:]:
+                s_u = s_u + p.users[L]
+                o_i = o_i + p.items[L][d]
             acts.s_u.append(s_u)
             acts.o_u.append(s_u @ P[f"out/d{d}"])
             acts.o_i.append(o_i)
@@ -272,76 +257,39 @@ class DisentangledGraphModel:
         """Exact gradients of a scalar objective w.r.t. every parameter.
 
         do_u[d]/do_i[d] are the objective's gradients at the fused
-        outputs. Shared-path weight gradients accumulate across domains
-        in ascending order; neighbor gradients scatter through the
-        transposed CSR.
+        outputs. Within a layer, gradients accumulate path by path in
+        path order and, within a path, domain by domain ascending.
         """
-        g, P, L, D = self.graph, self.params, self.layers, self.graph.num_domains
-        if acts.o_u is None or len(acts.o_u) != D:
+        P, L, D = self.params, self.layers, self.graph.num_domains
+        if len(acts.o_u) != D or len(acts.paths) != len(self.paths):
             raise ValueError("activations do not match this model")
         for d in range(D):
             if do_u[d].shape != acts.o_u[d].shape or do_i[d].shape != acts.o_i[d].shape:
                 raise ValueError(f"upstream gradient shape mismatch in domain {d}")
 
         grads = {name: np.zeros(shape) for name, shape in self.param_shapes()}
-        if self.has_specific:
-            dh_u = [[np.zeros_like(acts.h_u[d][l]) for l in range(L + 1)] for d in range(D)]
-            dh_i = [[np.zeros_like(acts.h_i[d][l]) for l in range(L + 1)] for d in range(D)]
-        if self.has_shared:
-            dg_u = [np.zeros_like(acts.g_u[l]) for l in range(L + 1)]
-            dg_i = [[np.zeros_like(acts.g_i[d][l]) for l in range(L + 1)] for d in range(D)]
+        # gradients at each path's cached representations, laid out like them
+        deltas = [([np.zeros_like(x) for x in p.users],
+                   [{d: np.zeros_like(x) for d, x in items.items()} for items in p.items])
+                  for p in acts.paths]
 
         for d in range(D):
             grads[f"out/d{d}"] += acts.s_u[d].T @ do_u[d]
             ds = do_u[d] @ P[f"out/d{d}"].T
-            if self.has_specific:
-                dh_u[d][L] += ds
-                dh_i[d][L] += do_i[d]
-            if self.has_shared:
-                dg_u[L] += ds
-                dg_i[d][L] += do_i[d]
+            for p, (du, di) in zip(acts.paths, deltas):
+                if d in p.domains:
+                    du[L] += ds
+                    di[L][d] += do_i[d]
 
         for l in reversed(range(L)):
-            if self.has_specific:
-                for d in range(D):
-                    dpre = relu_backward(acts.pre_hu[d][l], dh_u[d][l + 1])
-                    grads[f"spec_uu/l{l}/d{d}"] += acts.h_u[d][l].T @ dpre
-                    dh_u[d][l] += dpre @ P[f"spec_uu/l{l}/d{d}"].T
-                    grads[f"spec_iu/l{l}/d{d}"] += acts.agg_hu[d][l].T @ dpre
-                    dh_i[d][l] += self._agg(d, Direction.ITEM_TO_USER).apply_transpose(
-                        dpre @ P[f"spec_iu/l{l}/d{d}"].T)
-
-                    dpre = relu_backward(acts.pre_hi[d][l], dh_i[d][l + 1])
-                    grads[f"spec_ii/l{l}/d{d}"] += acts.h_i[d][l].T @ dpre
-                    dh_i[d][l] += dpre @ P[f"spec_ii/l{l}/d{d}"].T
-                    grads[f"spec_ui/l{l}/d{d}"] += acts.agg_hi[d][l].T @ dpre
-                    dh_u[d][l] += self._agg(d, Direction.USER_TO_ITEM).apply_transpose(
-                        dpre @ P[f"spec_ui/l{l}/d{d}"].T)
-            if self.has_shared:
-                dpre_u = relu_backward(acts.pre_gu[l], dg_u[l + 1])
-                grads[f"shared_uu/l{l}"] += acts.g_u[l].T @ dpre_u
-                dg_u[l] += dpre_u @ P[f"shared_uu/l{l}"].T
-                for d in range(D):
-                    grads[self._sh_iu_name(l, d)] += acts.agg_gu[d][l].T @ dpre_u
-                    dg_i[d][l] += self._agg(d, Direction.ITEM_TO_USER).apply_transpose(
-                        dpre_u @ self._sh_iu(l, d).T)
-                for d in range(D):
-                    dpre_i = relu_backward(acts.pre_gi[d][l], dg_i[d][l + 1])
-                    grads[f"shared_ii/l{l}"] += acts.g_i[d][l].T @ dpre_i
-                    dg_i[d][l] += dpre_i @ P[f"shared_ii/l{l}"].T
-                    grads[self._sh_ui_name(l, d)] += acts.agg_gi[d][l].T @ dpre_i
-                    dg_u[l] += self._agg(d, Direction.USER_TO_ITEM).apply_transpose(
-                        dpre_i @ self._sh_ui(l, d).T)
+            for p, (du, di) in zip(acts.paths, deltas):
+                self._conv_backward(p, l, du, di, grads)
 
         # layer 0 representations are the embedding tables themselves
-        if self.has_specific:
-            for d in range(D):
-                grads["user_emb"] += dh_u[d][0]
-                grads[f"item_emb/d{d}"] += dh_i[d][0]
-        if self.has_shared:
-            grads["user_emb"] += dg_u[0]
-            for d in range(D):
-                grads[f"item_emb/d{d}"] += dg_i[d][0]
+        for p, (du, di) in zip(acts.paths, deltas):
+            grads["user_emb"] += du[0]
+            for d in p.domains:
+                grads[f"item_emb/d{d}"] += di[0][d]
         return grads
 
 

@@ -28,15 +28,6 @@ def as_matrix(a, name: str = "matrix") -> Array:
     return a
 
 
-def matmul(a, b) -> Array:
-    """Matrix product a @ b with shape validation."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def relu(x) -> Array:
     """Elementwise max(0, x)."""
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
@@ -107,16 +98,6 @@ class CsrAggregator:
         if rows.shape[0] != self.num_targets:
             raise ValueError(f"expected {self.num_targets} target rows, got {rows.shape[0]}")
         return self._mat_t @ rows
-
-
-def segment_sum(rows, offsets, indices) -> Array:
-    """out[t] = sum of rows[indices[j]] over segment t, in index order.
-
-    Empty segments yield zero rows.
-    """
-    rows = as_matrix(rows, "rows")
-    agg = CsrAggregator(offsets, indices, num_sources=rows.shape[0])
-    return agg.apply(rows)
 
 
 @dataclass

@@ -45,7 +45,6 @@ class TrainConfig:
     tie_relation_weights: bool = False
     mean_aggregation: bool = False
     reg_per_domain: bool = False      # weight the L2 term by each beta_d
-    alternate_domains: bool = False   # experimental: one step per domain
     use_validation: bool = False
     eval_every: int = 10
     num_eval_negatives: int = 99
@@ -59,6 +58,18 @@ class TrainConfig:
             raise ValueError("epochs must be nonnegative")
         if self.dim <= 0:
             raise ValueError("dim must be positive")
+        if self.layers < 1:
+            raise ValueError("layers must be at least 1")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if not self.eps > 0:
+            raise ValueError("eps must be positive")
+        if self.triplets_per_epoch is not None and self.triplets_per_epoch < 1:
+            raise ValueError("triplets_per_epoch must be at least 1 (or none)")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be at least 1")
+        if self.num_eval_negatives < 1:
+            raise ValueError("num_eval_negatives must be at least 1")
         if self.domain_weights != "auto":
             weights = list(self.domain_weights)
             if any(w <= 0 for w in weights):
@@ -258,21 +269,9 @@ class Trainer:
         t0 = time.perf_counter()
         cfg = self.config
         batches = self._sample_all()
-        if cfg.alternate_domains:
-            # experimental: one optimization step per domain, ascending
-            domain_losses = {}
-            for d in sorted(batches):
-                _, losses, grads = compute_loss_and_grads(
-                    self.model, {d: batches[d]}, cfg.lambda_reg, self.betas,
-                    cfg.reg_per_domain)
-                domain_losses.update(losses)
-                self._apply_step(grads)
-            total = sum(self.betas[d] * domain_losses[d] for d in domain_losses)
-            total += cfg.lambda_reg * params_sumsq(self.model.params)
-        else:
-            total, domain_losses, grads = compute_loss_and_grads(
-                self.model, batches, cfg.lambda_reg, self.betas, cfg.reg_per_domain)
-            self._apply_step(grads)
+        total, domain_losses, grads = compute_loss_and_grads(
+            self.model, batches, cfg.lambda_reg, self.betas, cfg.reg_per_domain)
+        self._apply_step(grads)
         if not np.isfinite(total):
             raise RuntimeError(
                 f"non-finite loss at epoch {self.epoch}: total={total}, "

@@ -11,7 +11,6 @@ from scipy.stats import spearmanr
 from crossrec.baselines import (
     MfModel,
     SyntheticSpec,
-    ablation,
     generate_synthetic,
     manifest_json_subset,
     run_grid,
@@ -105,25 +104,15 @@ def test_mf_rejects_bad_params():
 # -- ablations -------------------------------------------------------------------
 
 
-def test_ablation_full_is_bit_identical_to_direct_construction():
-    rng = np.random.default_rng(8)
-    graph, _ = random_graph(rng, 6, (4, 4), 12)
-    a = ablation(graph, dim=5, layers=2, mode="full", seed=11)
-    b = DisentangledGraphModel(graph, dim=5, layers=2, mode="full", seed=11)
-    assert a.params.keys() == b.params.keys()
-    for name in a.params:
-        assert np.array_equal(a.params[name], b.params[name])
-
-
 def test_ablation_modes_have_expected_paths():
     rng = np.random.default_rng(9)
     graph, _ = random_graph(rng, 5, (3, 3), 8)
-    spec = ablation(graph, dim=4, layers=1, mode="specific_only", seed=12)
-    shared = ablation(graph, dim=4, layers=1, mode="shared_only", seed=12)
+    spec = DisentangledGraphModel(graph, dim=4, layers=1, mode="specific_only", seed=12)
+    shared = DisentangledGraphModel(graph, dim=4, layers=1, mode="shared_only", seed=12)
     assert not any(k.startswith("shared_") for k in spec.params)
     assert not any(k.startswith("spec_") for k in shared.params)
     with pytest.raises(ValueError, match="mode"):
-        ablation(graph, dim=4, layers=1, mode="rgcn")
+        DisentangledGraphModel(graph, dim=4, layers=1, mode="rgcn")
 
 
 # -- synthetic generator -----------------------------------------------------------

@@ -54,6 +54,22 @@ def test_unknown_config_key_fails_command(tmp_path, tiny_tsv, capsys):
     assert "bogus_knob" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad,key", [
+    ("use_validation=true\neval_every=0\n", "eval_every"),
+    ("beta1=1.0\n", "beta1"),
+], ids=["eval_every_zero", "beta1_one"])
+def test_out_of_range_config_is_rejected_up_front(tmp_path, tiny_tsv, capsys, bad, key):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("epochs=2\ndim=4\nlayers=1\n" + bad)
+    out = tmp_path / "out"
+    rc = main(["train", "--config", str(cfg), "--data", tiny_tsv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and key in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 # -- prepare ------------------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Tests for heterogeneous graph construction and serialization."""
+"""Tests for heterogeneous graph construction and queries."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from crossrec.graph import (
     HeteroGraph,
     RelationId,
     build_graph,
-    dump_graph,
-    load_graph,
 )
 
 
@@ -179,42 +177,6 @@ def test_edge_arrays_align_with_csr():
         assert len(users) == g.num_edges(d)
         for u, i in zip(users[:20], items[:20]):
             assert i in g.neighbors(RelationId(d, Direction.ITEM_TO_USER), int(u))
-
-
-def test_dump_load_roundtrip(tmp_path):
-    rng = np.random.default_rng(16)
-    log = random_log(rng, num_edges=150, items_per_domain=(10, 8))
-    g = build_graph(log)
-    path = str(tmp_path / "graph.bin")
-    dump_graph(path, g)
-    h = load_graph(path)
-    assert h.num_users == g.num_users
-    assert h.num_items_per_domain == g.num_items_per_domain
-    for rel in (RelationId(d, direction) for d in range(2)
-                for direction in Direction):
-        go, gi = g.relation(rel)
-        ho, hi = h.relation(rel)
-        assert np.array_equal(go, ho)
-        assert np.array_equal(gi, hi)
-
-
-def test_load_rejects_corrupt_dumps(tmp_path):
-    g = build_graph(make_log([(0, 0, 0)], 1, [1]))
-    path = str(tmp_path / "graph.bin")
-    dump_graph(path, g)
-    blob = open(path, "rb").read()
-    bad_magic = str(tmp_path / "bad1.bin")
-    open(bad_magic, "wb").write(b"\x00\x00\x00\x00" + blob[4:])
-    with pytest.raises(ValueError, match="magic"):
-        load_graph(bad_magic)
-    truncated = str(tmp_path / "bad2.bin")
-    open(truncated, "wb").write(blob[:-4])
-    with pytest.raises(ValueError, match="truncated"):
-        load_graph(truncated)
-    trailing = str(tmp_path / "bad3.bin")
-    open(trailing, "wb").write(blob + b"\x01\x02\x03\x04")
-    with pytest.raises(ValueError, match="trailing"):
-        load_graph(trailing)
 
 
 def test_build_graph_empty_log_errors():

@@ -10,7 +10,6 @@ from crossrec.model import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    score,
     score_pairs,
 )
 from crossrec.numeric import finite_diff_grad
@@ -130,14 +129,19 @@ def test_forward_matches_oracle_with_tied_weights_and_mean():
 
 def test_output_fusion_matches_cached_reps():
     # o_u must equal (h + g) @ W_out and o_i must equal h + g, re-derived
-    # directly from the cached layer-L representations
+    # directly from the cached layer-L representations of the specific
+    # path of domain d (path d) and the shared path (the last one)
     model = small_model(seed=10)
     acts = model.forward()
     L = model.layers
+    shared = acts.paths[-1]
+    assert [(p.kind, p.domains) for p in acts.paths] == [
+        ("spec", (0,)), ("spec", (1,)), ("shared", (0, 1))]
     for d in range(model.graph.num_domains):
-        fused = acts.h_u[d][L] + acts.g_u[L]
+        fused = acts.paths[d].users[L] + shared.users[L]
         assert np.allclose(acts.o_u[d], fused @ model.params[f"out/d{d}"], atol=1e-12)
-        assert np.allclose(acts.o_i[d], acts.h_i[d][L] + acts.g_i[d][L], atol=1e-12)
+        assert np.allclose(acts.o_i[d], acts.paths[d].items[L][d] + shared.items[L][d],
+                           atol=1e-12)
         assert np.array_equal(acts.s_u[d], fused)
 
 
@@ -146,8 +150,9 @@ def test_output_identity_transform_is_plain_sum():
     for d in range(model.graph.num_domains):
         model.params[f"out/d{d}"] = np.eye(model.dim)
     acts = model.forward()
+    L = model.layers
     for d in range(model.graph.num_domains):
-        assert np.allclose(acts.o_u[d], acts.h_u[d][model.layers] + acts.g_u[model.layers],
+        assert np.allclose(acts.o_u[d], acts.paths[d].users[L] + acts.paths[-1].users[L],
                            atol=1e-14)
 
 
@@ -155,23 +160,20 @@ def test_output_identity_transform_is_plain_sum():
 
 
 def test_score_orthogonal_and_aligned():
-    assert score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    v = np.zeros(4)
-    v[2] = 1.0
-    assert score(v, v) == 1.0
+    v = np.zeros((1, 4))
+    v[0, 2] = 1.0
+    w = np.zeros((1, 4))
+    w[0, 1] = 1.0
+    assert score_pairs(v, w, [0], [0])[0] == 0.0
+    assert score_pairs(v, v, [0], [0])[0] == 1.0
 
 
 def test_score_matches_loop_dot():
     rng = np.random.default_rng(12)
-    a = rng.standard_normal(128)
-    b = rng.standard_normal(128)
-    want = sum(float(a[k]) * float(b[k]) for k in range(128))
-    assert abs(score(a, b) - want) < 1e-12
-
-
-def test_score_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        score(np.zeros(3), np.zeros(4))
+    a = rng.standard_normal((1, 128))
+    b = rng.standard_normal((1, 128))
+    want = sum(float(a[0, k]) * float(b[0, k]) for k in range(128))
+    assert abs(score_pairs(a, b, [0], [0])[0] - want) < 1e-12
 
 
 def test_score_pairs_matches_scalar_score():
@@ -182,7 +184,7 @@ def test_score_pairs_matches_scalar_score():
     items = np.array([6, 0, 2])
     got = score_pairs(o_u, o_i, users, items)
     for k in range(3):
-        assert abs(got[k] - score(o_u[users[k]], o_i[items[k]])) < 1e-12
+        assert abs(got[k] - float(o_u[users[k]] @ o_i[items[k]])) < 1e-12
 
 
 # -- backward -----------------------------------------------------------------
@@ -240,7 +242,7 @@ def test_backward_matches_finite_differences(mode, tie, mean):
 
 
 def test_single_edge_identity_init_item_gradient():
-    # score(o_u, o_i) with one edge and one layer: the item embedding
+    # o_u . o_i with one edge and one layer: the item embedding
     # receives both the direct o_i term and the conv path through o_u
     log = make_log([(0, 0, 0)], 1, [1])
     graph = build_graph(log)
@@ -251,7 +253,7 @@ def test_single_edge_identity_init_item_gradient():
 
     def objective(_p):
         o_u, o_i = model.outputs()
-        return score(o_u[0][0], o_i[0][0])
+        return float(o_u[0][0] @ o_i[0][0])
 
     acts = model.forward()
     do_u = [acts.o_i[0].copy()]

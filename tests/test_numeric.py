@@ -11,26 +11,9 @@ from crossrec.numeric import (
     as_matrix,
     check_finite,
     finite_diff_grad,
-    matmul,
     relu,
     relu_backward,
-    segment_sum,
 )
-
-
-def loop_matmul(a, b):
-    # triple loop reference, k ascending
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for kk in range(k):
-                acc += a[i, kk] * b[kk, j]
-            out[i, j] = acc
-    return out
 
 
 def loop_segment_sum(rows, offsets, indices):
@@ -58,40 +41,6 @@ class ReferenceAdam:
         mh = self.m / (1 - self.b1 ** self.t)
         vh = self.v / (1 - self.b2 ** self.t)
         return param - self.lr * mh / (np.sqrt(vh) + self.eps)
-
-
-def test_matmul_matches_loop_reference():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        n, k, m = rng.integers(1, 7, size=3)
-        a = rng.standard_normal((n, k))
-        b = rng.standard_normal((k, m))
-        got = matmul(a, b)
-        want = loop_matmul(a, b)
-        assert np.allclose(got, want, rtol=0, atol=1e-12)
-
-
-def test_matmul_identity():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((5, 5))
-    assert np.allclose(matmul(a, np.eye(5)), a, atol=0)
-
-
-def test_matmul_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        matmul(np.zeros(3), np.zeros((3, 2)))
-
-
-def test_matmul_deterministic_across_runs():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((64, 48))
-    b = rng.standard_normal((48, 32))
-    first = matmul(a, b)
-    for _ in range(5):
-        again = matmul(a.copy(), b.copy())
-        assert np.array_equal(first, again)
 
 
 def test_relu_values():
@@ -129,7 +78,7 @@ def test_segment_sum_matches_loop_reference():
         offsets = np.concatenate([[0], np.cumsum(counts)])
         indices = rng.integers(0, num_src, size=offsets[-1])
         rows = rng.standard_normal((num_src, 5))
-        got = segment_sum(rows, offsets, indices)
+        got = CsrAggregator(offsets, indices, num_src).apply(rows)
         want = loop_segment_sum(rows, offsets, indices)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
@@ -138,7 +87,7 @@ def test_segment_sum_empty_segments_are_zero():
     rows = np.ones((3, 2))
     offsets = np.array([0, 0, 2, 2])
     indices = np.array([0, 2])
-    out = segment_sum(rows, offsets, indices)
+    out = CsrAggregator(offsets, indices, num_sources=len(rows)).apply(rows)
     assert np.array_equal(out[0], [0.0, 0.0])
     assert np.array_equal(out[1], [2.0, 2.0])
     assert np.array_equal(out[2], [0.0, 0.0])
@@ -148,7 +97,7 @@ def test_segment_sum_repeated_index_counts_twice():
     rows = np.array([[1.5, -2.0]])
     offsets = np.array([0, 2])
     indices = np.array([0, 0])
-    out = segment_sum(rows, offsets, indices)
+    out = CsrAggregator(offsets, indices, num_sources=len(rows)).apply(rows)
     assert np.array_equal(out, [[3.0, -4.0]])
 
 

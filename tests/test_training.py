@@ -225,6 +225,13 @@ def test_train_config_validation():
         TrainConfig(lr=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(domain_weights=[0.0, 1.0])
+    for bad in (dict(layers=0), dict(beta1=1.0), dict(beta1=-0.1), dict(beta2=1.0),
+                dict(eps=0.0), dict(triplets_per_epoch=0), dict(eval_every=0),
+                dict(num_eval_negatives=0)):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+    TrainConfig(beta1=0.0, beta2=0.0, triplets_per_epoch=None, eval_every=1,
+                num_eval_negatives=1, layers=1)
 
 
 def test_zero_lr_epoch_keeps_parameters():
@@ -275,18 +282,6 @@ def test_non_finite_loss_aborts_with_diagnostic():
     trainer = Trainer(model, TrainConfig(epochs=1, dim=4, seed=2))
     with pytest.raises((RuntimeError, ValueError)):
         trainer.train_epoch()
-
-
-def test_alternate_domains_mode_runs():
-    graph, _, model = small_setup(seed=14)
-    trainer = Trainer(model, TrainConfig(epochs=1, dim=4, lr=0.01, seed=3,
-                                         alternate_domains=True,
-                                         triplets_per_epoch=8))
-    before = model.params["user_emb"].copy()
-    report = trainer.train_epoch()
-    assert np.isfinite(report.total_loss)
-    assert set(report.domain_losses) == {0, 1}
-    assert not np.array_equal(model.params["user_emb"], before)
 
 
 def test_epoch_log_line_format():
