@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SplitResult
-from .graph import Direction, HeteroGraph, RelationId
+from .graph import HeteroGraph
 
 logger = logging.getLogger(__name__)
 
@@ -46,9 +46,10 @@ def build_eval_tasks(split: SplitResult, graph: HeteroGraph, seed: int,
     skipped = 0
     for rec in split.test:
         d, u, pos = rec.domain_id, rec.user_id, rec.item_id
-        train_items = graph.neighbors(RelationId(d, Direction.ITEM_TO_USER), u)
-        blocked = np.union1d(train_items, [pos])
-        eligible = np.setdiff1d(np.arange(graph.num_items_per_domain[d]), blocked)
+        allowed = np.ones(graph.num_items_per_domain[d], dtype=bool)
+        allowed[graph.user_items(d, u)] = False
+        allowed[pos] = False
+        eligible = np.flatnonzero(allowed)
         if len(eligible) < num_negatives:
             skipped += 1
             continue
@@ -61,17 +62,15 @@ def build_eval_tasks(split: SplitResult, graph: HeteroGraph, seed: int,
     return tasks
 
 
-def rank_of_positive(scores, pos_index: int) -> int:
-    """1-based rank of scores[pos_index]; ties rank the positive last."""
+def ranks_of_positives(scores) -> np.ndarray:
+    """1-based rank of column 0 within each row of ``scores``; ties rank
+    the positive last."""
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[1] < 1:
+        raise ValueError(f"scores must be 2-D with a positive column, got shape {scores.shape}")
     if not np.isfinite(scores).all():
         raise ValueError("scores contain non-finite entries")
-    if not 0 <= pos_index < len(scores):
-        raise ValueError("pos_index out of range")
-    pos = scores[pos_index]
-    greater = int(np.sum(scores > pos))
-    equal_others = int(np.sum(scores == pos)) - 1
-    return 1 + greater + equal_others
+    return 1 + np.sum(scores[:, 1:] >= scores[:, :1], axis=1)
 
 
 def hr_ndcg_at_10(ranks) -> tuple:
@@ -102,11 +101,7 @@ def evaluate(model, tasks) -> list:
         # candidate column 0 is the positive, the rest are negatives
         cands = np.stack([np.concatenate(([t.pos_item_id], t.negatives)) for t in group])
         scores = np.einsum("nk,nck->nc", o_u[d][users], o_i[d][cands])
-        if not np.isfinite(scores).all():
-            raise ValueError(f"non-finite scores in domain {d}")
-        pos = scores[:, :1]
-        ranks = 1 + np.sum(scores[:, 1:] > pos, axis=1) + np.sum(scores[:, 1:] == pos, axis=1)
-        hr, ndcg = hr_ndcg_at_10(ranks)
+        hr, ndcg = hr_ndcg_at_10(ranks_of_positives(scores))
         reports.append(MetricReport(d, len(group), hr, ndcg))
     missing = set(range(len(o_u))) - set(by_domain)
     if missing:

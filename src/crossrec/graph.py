@@ -1,122 +1,96 @@
 """Global heterogeneous interaction graph.
 
-Users are shared nodes, items live per domain, and every domain
-contributes two CSR relations: item-to-user (neighbors of a user) and
-user-to-item (neighbors of an item). Neighbor lists are stored sorted
-ascending so rebuilds from permuted edge lists are bitwise identical.
+Users are shared nodes and items live per domain. Each domain keeps its
+edges once, as one user-major CSR (offsets over users, item ids) sorted
+by (user, item), so rebuilds from permuted edge lists are bitwise
+identical. The edge list, the membership keys and the item-major
+aggregation operator are all derived from that one CSR.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .data import InteractionLog, interactions_as_arrays
 from .numeric import CsrAggregator
 
-
-class Direction(enum.Enum):
-    ITEM_TO_USER = "iu"
-    USER_TO_ITEM = "ui"
-
-
-@dataclass(frozen=True)
-class RelationId:
-    domain_id: int
-    direction: Direction
+# a domain's neighbor-sum operators: item rows -> users, user rows -> items
+Aggregators = namedtuple("Aggregators", "to_users to_items")
 
 
 def _csr_from_edges(targets, sources, num_targets):
     """Sorted CSR (offsets, indices) from parallel target/source arrays."""
     order = np.lexsort((sources, targets))
-    targets = targets[order]
-    sources = sources[order]
     counts = np.bincount(targets, minlength=num_targets)
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return offsets, sources.astype(np.int64)
+    return offsets, sources[order].astype(np.int64)
+
+
+def _aggregator(offsets, indices, num_sources, mean):
+    """Neighbor sum over a CSR; with ``mean`` each edge weighs
+    1/degree of its target (isolated targets produce zero rows)."""
+    degrees = np.diff(offsets)
+    weights = np.repeat(1.0 / np.maximum(degrees, 1), degrees) if mean else None
+    return CsrAggregator(offsets, indices, num_sources, weights=weights)
 
 
 class HeteroGraph:
-    """Immutable CSR adjacency per (domain, direction) relation."""
+    """Immutable per-domain user-major CSR adjacency."""
 
-    def __init__(self, num_users: int, num_items_per_domain: list,
-                 relations: dict):
+    def __init__(self, num_users: int, num_items_per_domain: list, csrs: list):
         self.num_users = num_users
         self.num_items_per_domain = list(num_items_per_domain)
-        self._relations = relations  # RelationId -> (offsets, indices)
+        self._csrs = csrs  # per domain: (offsets, items), sorted by (user, item)
+        self._edges = []   # per domain: read-only (users, items) in CSR order
+        self._keys = []    # per domain: users * num_items + items, ascending
+        for (offsets, items), num_items in zip(csrs, self.num_items_per_domain):
+            users = np.repeat(np.arange(num_users, dtype=np.int64), np.diff(offsets))
+            users.flags.writeable = items.flags.writeable = False
+            self._edges.append((users, items))
+            self._keys.append(users * num_items + items)
         self._aggregators: dict = {}
 
     @property
     def num_domains(self) -> int:
         return len(self.num_items_per_domain)
 
-    def _target_source_counts(self, rel: RelationId):
-        if rel.direction is Direction.ITEM_TO_USER:
-            return self.num_users, self.num_items_per_domain[rel.domain_id]
-        return self.num_items_per_domain[rel.domain_id], self.num_users
-
-    def relation(self, rel: RelationId):
-        if rel not in self._relations:
-            raise KeyError(f"unknown relation {rel}")
-        return self._relations[rel]
-
-    def neighbors(self, rel: RelationId, node: int) -> np.ndarray:
-        offsets, indices = self.relation(rel)
-        if not 0 <= node < len(offsets) - 1:
-            raise ValueError(f"node {node} out of range for {rel}")
-        return indices[offsets[node]:offsets[node + 1]]
-
-    def degree_histogram(self, rel: RelationId) -> dict:
-        offsets, _ = self.relation(rel)
-        degrees = np.diff(offsets)
-        values, counts = np.unique(degrees, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
-
     def num_edges(self, domain_id: int) -> int:
-        offsets, _ = self.relation(RelationId(domain_id, Direction.ITEM_TO_USER))
-        return int(offsets[-1])
+        return len(self._csrs[domain_id][1])
 
     def edge_arrays(self, domain_id: int):
-        """(users, items) arrays of the domain's edges in IU storage order."""
-        offsets, indices = self.relation(RelationId(domain_id, Direction.ITEM_TO_USER))
-        users = np.repeat(np.arange(self.num_users, dtype=np.int64),
-                          np.diff(offsets))
-        return users, indices.copy()
+        """Read-only (users, items) arrays of the domain's edges, sorted
+        by (user, item)."""
+        return self._edges[domain_id]
+
+    def user_items(self, domain_id: int, user: int) -> np.ndarray:
+        """Sorted items the user interacted with in the domain."""
+        offsets, items = self._csrs[domain_id]
+        if not 0 <= user < self.num_users:
+            raise ValueError(f"user {user} out of range for domain {domain_id}")
+        return items[offsets[user]:offsets[user + 1]]
 
     def has_edges(self, domain_id: int, users, items) -> np.ndarray:
         """Vectorized membership test for (user, item) pairs in a domain."""
-        eu, ei = self.edge_arrays(domain_id)
-        num_items = self.num_items_per_domain[domain_id]
-        keys = np.sort(eu * num_items + ei)
-        probe = np.asarray(users, dtype=np.int64) * num_items + np.asarray(items, dtype=np.int64)
-        pos = np.searchsorted(keys, probe)
-        pos = np.clip(pos, 0, len(keys) - 1) if len(keys) else pos
+        keys = self._keys[domain_id]
+        probe = (np.asarray(users, dtype=np.int64) * self.num_items_per_domain[domain_id]
+                 + np.asarray(items, dtype=np.int64))
         if len(keys) == 0:
             return np.zeros(len(probe), dtype=bool)
-        return keys[pos] == probe
+        return keys[np.minimum(np.searchsorted(keys, probe), len(keys) - 1)] == probe
 
-    def aggregator(self, domain_id: int, direction: Direction,
-                   mean: bool = False) -> CsrAggregator:
-        """Cached neighbor-sum operator for one relation.
-
-        With ``mean=True`` edges carry 1/degree weights (isolated nodes
-        simply produce zero rows either way).
-        """
-        key = (domain_id, direction, mean)
+    def aggregators(self, domain_id: int, mean: bool = False) -> Aggregators:
+        """Cached (to_users, to_items) neighbor-sum operators of a domain."""
+        key = (domain_id, mean)
         if key not in self._aggregators:
-            rel = RelationId(domain_id, direction)
-            offsets, indices = self.relation(rel)
-            _, num_sources = self._target_source_counts(rel)
-            weights = None
-            if mean:
-                degrees = np.diff(offsets).astype(np.float64)
-                with np.errstate(divide="ignore"):
-                    inv = np.where(degrees > 0, 1.0 / np.maximum(degrees, 1), 0.0)
-                weights = np.repeat(inv, np.diff(offsets))
-            self._aggregators[key] = CsrAggregator(offsets, indices, num_sources,
-                                                   weights=weights)
+            offsets, items = self._csrs[domain_id]
+            users, _ = self._edges[domain_id]
+            num_items = self.num_items_per_domain[domain_id]
+            item_offsets, item_users = _csr_from_edges(items, users, num_items)
+            self._aggregators[key] = Aggregators(
+                _aggregator(offsets, items, num_items, mean),
+                _aggregator(item_offsets, item_users, self.num_users, mean))
         return self._aggregators[key]
 
 
@@ -126,7 +100,7 @@ def build_graph(train: InteractionLog) -> HeteroGraph:
         raise ValueError("cannot build a graph from an empty log")
     users, items, domains, _ = interactions_as_arrays(train)
     num_users = train.num_users
-    relations = {}
+    csrs = []
     for d in range(train.num_domains):
         mask = domains == d
         du, di = users[mask], items[mask]
@@ -135,10 +109,6 @@ def build_graph(train: InteractionLog) -> HeteroGraph:
             raise ValueError(f"user id out of range in domain {d}")
         if len(di) and (di.min() < 0 or di.max() >= num_items):
             raise ValueError(f"item id out of range in domain {d}")
-        relations[RelationId(d, Direction.ITEM_TO_USER)] = _csr_from_edges(
-            du, di, num_users)
-        relations[RelationId(d, Direction.USER_TO_ITEM)] = _csr_from_edges(
-            di, du, num_items)
+        csrs.append(_csr_from_edges(du, di, num_users))
     return HeteroGraph(num_users, [train.num_items(d) for d in range(train.num_domains)],
-                       relations)
-
+                       csrs)

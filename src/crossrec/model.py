@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Direction, HeteroGraph
+from .graph import HeteroGraph
 from .numeric import check_finite, relu, relu_backward
 
 # the paths of each mode, by kind; specific paths come first
@@ -186,10 +186,10 @@ class DisentangledGraphModel:
         z_u = x_u @ P[w[path.domains[0]].uu]
         z_i, sums_u, sums_i = {}, {}, {}
         for d in path.domains:
-            sums_u[d] = self.graph.aggregator(d, Direction.ITEM_TO_USER, mean).apply(x_i[d])
+            sums_u[d] = self.graph.aggregators(d, mean).to_users.apply(x_i[d])
             z_u = z_u + sums_u[d] @ P[w[d].iu]
         for d in path.domains:
-            sums_i[d] = self.graph.aggregator(d, Direction.USER_TO_ITEM, mean).apply(x_u)
+            sums_i[d] = self.graph.aggregators(d, mean).to_items.apply(x_u)
             z_i[d] = x_i[d] @ P[w[d].ii] + sums_i[d] @ P[w[d].ui]
         path.convs.append((z_u, z_i, sums_u, sums_i))
         path.users.append(relu(z_u))
@@ -210,14 +210,14 @@ class DisentangledGraphModel:
         du[l] += dz_u @ P[uu].T
         for d in path.domains:
             grads[w[d].iu] += sums_u[d].T @ dz_u
-            di[l][d] += self.graph.aggregator(d, Direction.ITEM_TO_USER, mean).apply_transpose(
+            di[l][d] += self.graph.aggregators(d, mean).to_users.apply_transpose(
                 dz_u @ P[w[d].iu].T)
         for d in path.domains:
             dz_i = relu_backward(z_i[d], di[l + 1][d])
             grads[w[d].ii] += path.items[l][d].T @ dz_i
             di[l][d] += dz_i @ P[w[d].ii].T
             grads[w[d].ui] += sums_i[d].T @ dz_i
-            du[l] += self.graph.aggregator(d, Direction.USER_TO_ITEM, mean).apply_transpose(
+            du[l] += self.graph.aggregators(d, mean).to_items.apply_transpose(
                 dz_i @ P[w[d].ui].T)
 
     # -- forward -----------------------------------------------------------
@@ -332,8 +332,9 @@ def save_checkpoint(model, path: str) -> None:
 def load_checkpoint(path: str, graph: HeteroGraph):
     """Read a checkpoint and rebuild the matching model over ``graph``.
 
-    Validates magic, node counts against the graph, the canonical
-    parameter order, shapes, and finiteness.
+    Validates magic, node counts against the graph, the flag bits, the
+    layer count against the stored matrices, the canonical parameter
+    order, shapes, and finiteness.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -368,11 +369,17 @@ def load_checkpoint(path: str, graph: HeteroGraph):
     if pos != len(blob):
         raise ValueError(f"{path}: trailing bytes after checkpoint")
 
+    if flags & ~3:
+        raise ValueError(f"{path}: unknown checkpoint flags {flags:#x}")
     if kind == MF_KIND:
         from .baselines import MfModel
         return MfModel(graph, dim=dim, params=params)
     if kind not in MODE_BY_KIND:
         raise ValueError(f"{path}: unknown checkpoint kind {kind}")
+    # every conv layer owns at least one stored matrix, and the file holds
+    # n_params of them, so this bounds the work of building the model
+    if not 1 <= layers <= n_params:
+        raise ValueError(f"{path}: checkpoint layers {layers} outside [1, {n_params}]")
     return DisentangledGraphModel(
         graph, dim=dim, layers=layers, mode=MODE_BY_KIND[kind],
         tie_relation_weights=bool(flags & 1), mean_aggregation=bool(flags & 2),

@@ -9,7 +9,7 @@ test, so agreement is meaningful.
 import numpy as np
 
 from crossrec.data import Interaction, InteractionLog
-from crossrec.graph import Direction, RelationId, build_graph
+from crossrec.graph import build_graph
 
 
 def make_log(edges, num_users, items_per_domain):
@@ -61,11 +61,16 @@ def oracle_forward(graph, params, layers, mode="full", tie=False, mean=False):
     def sh_ui(l, d):
         return params[f"spec_ui/l{l}/d{d}"] if tie else params[f"shared_ui/l{l}/d{d}"]
 
+    # neighbor lists come from the plain edge list, not from the CSR under test
+    edges = [graph.edge_arrays(d) for d in range(D)]
+
     def user_items(d, u):
-        return graph.neighbors(RelationId(d, Direction.ITEM_TO_USER), u)
+        users, items = edges[d]
+        return items[users == u]
 
     def item_users(d, i):
-        return graph.neighbors(RelationId(d, Direction.USER_TO_ITEM), i)
+        users, items = edges[d]
+        return users[items == i]
 
     hu = {(d, u): params["user_emb"][u] for d in range(D) for u in range(U)}
     hi = {(d, i): params[f"item_emb/d{d}"][i] for d in range(D) for i in range(counts[d])}

@@ -6,15 +6,16 @@ import pytest
 
 from crossrec.data import split_leave_latest
 from crossrec.evaluation import (
+    EVAL_STREAM,
     EvalTask,
     build_eval_tasks,
     evaluate,
     format_metric_table,
     hr_ndcg_at_10,
-    rank_of_positive,
+    ranks_of_positives,
     write_metrics_kv,
 )
-from crossrec.graph import Direction, RelationId, build_graph
+from crossrec.graph import build_graph
 from crossrec.model import DisentangledGraphModel
 
 from helpers import make_log, random_graph, tiny_overfit_log
@@ -49,8 +50,7 @@ def test_tasks_satisfy_protocol_invariants():
         assert len(task.negatives) == 99
         assert len(set(task.negatives.tolist())) == 99
         assert task.pos_item_id not in task.negatives
-        train_items = set(graph.neighbors(
-            RelationId(task.domain_id, Direction.ITEM_TO_USER), task.user_id).tolist())
+        train_items = set(graph.user_items(task.domain_id, task.user_id).tolist())
         assert not (set(task.negatives.tolist()) & train_items)
 
 
@@ -90,30 +90,58 @@ def test_too_small_pools_are_skipped():
     assert len(tasks) == len(split.test)
 
 
+def test_tasks_match_setdiff_reference():
+    # eligible negatives are every item minus the user's train items and
+    # the positive, in ascending order, as a setdiff1d loop computes them
+    rng = np.random.default_rng(17)
+    split = synthetic_split(rng, num_users=40, items=(130, 105), edges_per_user=6)
+    graph = build_graph(split.train)
+    tasks = build_eval_tasks(split, graph, seed=21)
+    assert len(tasks) == len(split.test)
+    for rec, task in zip(split.test, tasks):
+        d, u = rec.domain_id, rec.user_id
+        users, items = graph.edge_arrays(d)
+        blocked = np.union1d(items[users == u], [rec.item_id])
+        eligible = np.setdiff1d(np.arange(graph.num_items_per_domain[d]), blocked)
+        want = np.random.default_rng([21, EVAL_STREAM, d, u]).choice(
+            eligible, size=99, replace=False)
+        assert (task.user_id, task.domain_id, task.pos_item_id) == (u, d, rec.item_id)
+        assert np.array_equal(task.negatives, want)
+
+
 # -- ranking ----------------------------------------------------------------------
+
+
+def positive_rank(scores, pos_index):
+    """Rank of scores[pos_index] through ranks_of_positives, which
+    takes the positive in column 0."""
+    scores = np.asarray(scores, dtype=np.float64)
+    row = np.concatenate(([scores[pos_index]], np.delete(scores, pos_index)))
+    return int(ranks_of_positives(row[None, :])[0])
 
 
 def test_rank_of_positive_basic_cases():
     scores = np.zeros(100)
     scores[7] = 5.0
-    assert rank_of_positive(scores, 7) == 1
-    assert rank_of_positive(np.zeros(100), 3) == 100  # all tied -> last
+    assert positive_rank(scores, 7) == 1
+    assert positive_rank(np.zeros(100), 3) == 100  # all tied -> last
     scores = np.arange(100.0)
-    assert rank_of_positive(scores, 99) == 1
-    assert rank_of_positive(scores, 0) == 100
+    assert positive_rank(scores, 99) == 1
+    assert positive_rank(scores, 0) == 100
 
 
 def test_rank_matches_sort_oracle():
     rng = np.random.default_rng(6)
-    for _ in range(50):
-        scores = rng.standard_normal(100)
-        scores[rng.integers(100)] = scores[rng.integers(100)]  # induce ties
-        pos = int(rng.integers(100))
-        got = rank_of_positive(scores, pos)
-        # sort oracle: positive placed after every >= score among others
-        others = np.delete(scores, pos)
-        want = 1 + int(np.sum(others >= scores[pos]))
-        assert got == want
+    rows = rng.standard_normal((50, 100))
+    for row in rows:
+        row[rng.integers(100)] = row[rng.integers(100)]  # induce ties
+        row[0] = row[rng.integers(100)]  # often tie the positive too
+    got = ranks_of_positives(rows)  # one vectorized call over every row
+    for row, rank in zip(rows, got):
+        # sort oracle: descending score, the positive after every tie
+        is_pos = np.arange(100) == 0
+        order = np.lexsort((is_pos, -row))
+        assert rank == 1 + int(np.flatnonzero(order == 0)[0])
 
 
 def test_rank_monotone_in_positive_score():
@@ -124,7 +152,7 @@ def test_rank_monotone_in_positive_score():
     for bump in np.linspace(-3, 3, 13):
         s = scores.copy()
         s[pos] = bump
-        r = rank_of_positive(s, pos)
+        r = positive_rank(s, pos)
         assert r <= prev_rank or r == prev_rank
         prev_rank = min(prev_rank, r)
     # explicit: strictly raising the score never worsens the rank
@@ -132,21 +160,25 @@ def test_rank_monotone_in_positive_score():
     low[pos] = scores.min() - 1
     high = scores.copy()
     high[pos] = scores.max() + 1
-    assert rank_of_positive(high, pos) <= rank_of_positive(low, pos)
+    assert positive_rank(high, pos) <= positive_rank(low, pos)
 
 
 def test_rank_shift_invariance():
     rng = np.random.default_rng(8)
     scores = rng.standard_normal(100)
     for shift in (-17.5, 0.25, 1e3):
-        assert rank_of_positive(scores + shift, 5) == rank_of_positive(scores, 5)
+        assert positive_rank(scores + shift, 5) == positive_rank(scores, 5)
 
 
 def test_rank_rejects_bad_input():
     with pytest.raises(ValueError):
-        rank_of_positive(np.array([1.0, np.nan]), 0)
+        positive_rank(np.array([1.0, np.nan]), 0)
     with pytest.raises(ValueError):
-        rank_of_positive(np.array([1.0, 2.0]), 5)
+        ranks_of_positives(np.array([[1.0, 2.0], [np.inf, 0.0]]))
+    with pytest.raises(ValueError):
+        ranks_of_positives(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError):
+        ranks_of_positives(np.zeros((3, 0)))
 
 
 # -- metrics ----------------------------------------------------------------------

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from crossrec.data import InteractionLog, Interaction
-from crossrec.graph import (
-    Direction,
-    HeteroGraph,
-    RelationId,
-    build_graph,
-)
+from crossrec.graph import build_graph
 
 
 def make_log(edges, num_users, items_per_domain):
@@ -40,25 +35,25 @@ def test_build_graph_direct_enumeration():
     # user0-itemA(dom0), user0-itemB(dom1), user1-itemA(dom0)
     log = make_log([(0, 0, 0), (0, 0, 1), (1, 0, 0)], 2, [1, 1])
     g = build_graph(log)
-    iu0 = RelationId(0, Direction.ITEM_TO_USER)
-    iu1 = RelationId(1, Direction.ITEM_TO_USER)
-    assert list(g.neighbors(iu0, 0)) == [0]
-    assert list(g.neighbors(iu0, 1)) == [0]
-    assert list(g.neighbors(iu1, 0)) == [0]
-    assert list(g.neighbors(iu1, 1)) == []
-    ui0 = RelationId(0, Direction.USER_TO_ITEM)
-    assert list(g.neighbors(ui0, 0)) == [0, 1]
+    assert list(g.user_items(0, 0)) == [0]
+    assert list(g.user_items(0, 1)) == [0]
+    assert list(g.user_items(1, 0)) == [0]
+    assert list(g.user_items(1, 1)) == []
+    users, items = g.edge_arrays(0)
+    assert list(users[items == 0]) == [0, 1]
 
 
 def test_empty_domain_gives_zero_offsets():
     log = make_log([(0, 0, 0)], 1, [1, 3])
     # domain 1 has items registered but no edges
     g = build_graph(log)
-    offsets, indices = g.relation(RelationId(1, Direction.ITEM_TO_USER))
-    assert np.array_equal(offsets, [0, 0])
-    assert len(indices) == 0
-    ui_offsets, _ = g.relation(RelationId(1, Direction.USER_TO_ITEM))
-    assert np.array_equal(ui_offsets, [0, 0, 0, 0])
+    assert g.num_edges(1) == 0
+    assert len(g.user_items(1, 0)) == 0
+    assert all(len(a) == 0 for a in g.edge_arrays(1))
+    to_users, to_items = g.aggregators(1)
+    assert np.array_equal(to_users.apply(np.ones((3, 2))), np.zeros((1, 2)))
+    assert np.array_equal(to_items.apply(np.ones((1, 2))), np.zeros((3, 2)))
+    assert not g.has_edges(1, [0, 0], [0, 2]).any()
 
 
 def test_ui_is_transpose_of_iu():
@@ -67,18 +62,18 @@ def test_ui_is_transpose_of_iu():
     log = random_log(rng, num_edges=200, num_users=25, items_per_domain=(15, 12, 9))
     g = build_graph(log)
     for d in range(3):
-        iu = RelationId(d, Direction.ITEM_TO_USER)
-        ui = RelationId(d, Direction.USER_TO_ITEM)
         pairs_iu = set()
         for u in range(g.num_users):
-            for i in g.neighbors(iu, u):
+            for i in g.user_items(d, u):
                 pairs_iu.add((u, int(i)))
-        pairs_ui = set()
-        for i in range(g.num_items_per_domain[d]):
-            for u in g.neighbors(ui, i):
-                pairs_ui.add((int(u), i))
+        # the item-major operator applied to one-hot user rows gives the
+        # item x user incidence, row by row
+        to_users, to_items = g.aggregators(d)
+        ui = to_items.apply(np.eye(g.num_users))
+        pairs_ui = {(int(u), int(i)) for i, u in zip(*np.nonzero(ui))}
         assert pairs_iu == pairs_ui
         assert len(pairs_iu) == g.num_edges(d)
+        assert np.array_equal(to_users.apply(np.eye(g.num_items_per_domain[d])), ui.T)
 
 
 def test_neighbors_match_raw_edge_list():
@@ -89,7 +84,7 @@ def test_neighbors_match_raw_edge_list():
     for rec in log.interactions:
         raw.setdefault((rec.user_id, rec.domain_id), []).append(rec.item_id)
     for (u, d), items in raw.items():
-        got = list(g.neighbors(RelationId(d, Direction.ITEM_TO_USER), u))
+        got = list(g.user_items(d, u))
         assert sorted(items) == got  # sorted CSR canonical form
 
 
@@ -112,30 +107,23 @@ def test_canonical_under_permutation():
         domain_names=log.domain_names,
     )
     a, b = build_graph(log), build_graph(shuffled)
-    for rel in (RelationId(d, direction) for d in range(2)
-                for direction in Direction):
-        ao, ai = a.relation(rel)
-        bo, bi = b.relation(rel)
-        assert np.array_equal(ao, bo)
-        assert np.array_equal(ai, bi)
-
-
-def test_degree_histogram():
-    log = make_log([(0, 0, 0), (1, 1, 0), (2, 2, 0)], 3, [3])
-    g = build_graph(log)
-    assert g.degree_histogram(RelationId(0, Direction.ITEM_TO_USER)) == {1: 3}
-    log2 = make_log([(0, 0, 0)], 2, [1, 2])
-    g2 = build_graph(log2)
-    # empty relation: every target has degree zero
-    assert g2.degree_histogram(RelationId(1, Direction.ITEM_TO_USER)) == {0: 2}
-    hist = g2.degree_histogram(RelationId(0, Direction.ITEM_TO_USER))
-    assert sum(hist.values()) == g2.num_users
+    rows = rng.standard_normal((max(a.num_users, *a.num_items_per_domain), 3))
+    for d in range(2):
+        for x, y in zip(a.edge_arrays(d), b.edge_arrays(d)):
+            assert np.array_equal(x, y)
+        for mean in (False, True):
+            aa, ba = a.aggregators(d, mean), b.aggregators(d, mean)
+            src_u, src_i = rows[:a.num_items_per_domain[d]], rows[:a.num_users]
+            assert np.array_equal(aa.to_users.apply(src_u), ba.to_users.apply(src_u))
+            assert np.array_equal(aa.to_items.apply(src_i), ba.to_items.apply(src_i))
 
 
 def test_neighbors_out_of_range():
     g = build_graph(make_log([(0, 0, 0)], 1, [1]))
     with pytest.raises(ValueError):
-        g.neighbors(RelationId(0, Direction.ITEM_TO_USER), 5)
+        g.user_items(0, 5)
+    with pytest.raises(ValueError):
+        g.user_items(0, -1)
 
 
 def test_build_rejects_out_of_range_ids():
@@ -148,17 +136,19 @@ def test_aggregator_sums_neighbors():
     log = make_log([(0, 0, 0), (0, 1, 0), (1, 1, 0)], 2, [2])
     g = build_graph(log)
     item_rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    out = g.aggregator(0, Direction.ITEM_TO_USER).apply(item_rows)
+    out = g.aggregators(0).to_users.apply(item_rows)
     assert np.array_equal(out, [[1.0, 1.0], [0.0, 1.0]])
-    mean_out = g.aggregator(0, Direction.ITEM_TO_USER, mean=True).apply(item_rows)
+    mean_out = g.aggregators(0, mean=True).to_users.apply(item_rows)
     assert np.array_equal(mean_out, [[0.5, 0.5], [0.0, 1.0]])
+    user_rows = np.array([[2.0], [4.0]])
+    assert np.array_equal(g.aggregators(0).to_items.apply(user_rows), [[2.0], [6.0]])
+    assert np.array_equal(g.aggregators(0, mean=True).to_items.apply(user_rows), [[2.0], [3.0]])
 
 
 def test_aggregator_is_cached():
     g = build_graph(make_log([(0, 0, 0)], 1, [1]))
-    a1 = g.aggregator(0, Direction.ITEM_TO_USER)
-    a2 = g.aggregator(0, Direction.ITEM_TO_USER)
-    assert a1 is a2
+    assert g.aggregators(0) is g.aggregators(0)
+    assert g.aggregators(0, mean=True) is not g.aggregators(0)
 
 
 def test_has_edges():
@@ -166,6 +156,15 @@ def test_has_edges():
     g = build_graph(log)
     got = g.has_edges(0, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
     assert list(got) == [True, False, False, True]
+    # every (user, item) pair of a random graph against its edge set
+    rng = np.random.default_rng(16)
+    log = random_log(rng, num_edges=150, num_users=20, items_per_domain=(11, 6))
+    g = build_graph(log)
+    edges = {(r.user_id, r.item_id, r.domain_id) for r in log.interactions}
+    for d, num_items in enumerate(g.num_items_per_domain):
+        users, items = np.divmod(np.arange(g.num_users * num_items), num_items)
+        want = [(int(u), int(i), d) in edges for u, i in zip(users, items)]
+        assert list(g.has_edges(d, users, items)) == want
 
 
 def test_edge_arrays_align_with_csr():
@@ -175,8 +174,10 @@ def test_edge_arrays_align_with_csr():
     for d in range(g.num_domains):
         users, items = g.edge_arrays(d)
         assert len(users) == g.num_edges(d)
+        assert not users.flags.writeable and not items.flags.writeable
+        assert np.all(np.diff(users * g.num_items_per_domain[d] + items) > 0)
         for u, i in zip(users[:20], items[:20]):
-            assert i in g.neighbors(RelationId(d, Direction.ITEM_TO_USER), int(u))
+            assert i in g.user_items(d, int(u))
 
 
 def test_build_graph_empty_log_errors():

@@ -1,10 +1,12 @@
 """Tests for the two-path conv model: forward against a nested-loop
 oracle, backward against finite differences, wiring invariants."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from crossrec.graph import Direction, RelationId, build_graph
+from crossrec.graph import build_graph
 from crossrec.model import (
     DisentangledGraphModel,
     init_params,
@@ -445,6 +447,42 @@ def test_checkpoint_rejects_corruption(tmp_path):
     open(trunc, "wb").write(blob[:-16])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(trunc, model.graph)
+
+
+def corrupt_header(tmp_path, blob, num_domains, field, value):
+    """Copy of a checkpoint with one header field (dim, layers, flags or
+    n_params) overwritten."""
+    fields = ("dim", "layers", "flags", "n_params")
+    buf = bytearray(blob)
+    struct.pack_into("<I", buf, 16 + 4 * num_domains + 4 * fields.index(field), value)
+    path = str(tmp_path / f"{field}-{value}.ckpt")
+    open(path, "wb").write(bytes(buf))
+    return path
+
+
+def test_checkpoint_rejects_layers_beyond_stored_matrices(tmp_path):
+    # a corrupt layer count must fail on the header, before the model's
+    # parameter layout (linear in the layer count) is built
+    model = small_model(seed=33)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    blob = open(path, "rb").read()
+    n_params = len(model.params)
+    for layers in (n_params + 1, 2 ** 31, 0):
+        bad = corrupt_header(tmp_path, blob, model.graph.num_domains, "layers", layers)
+        with pytest.raises(ValueError, match=f"layers {layers} outside"):
+            load_checkpoint(bad, model.graph)
+
+
+def test_checkpoint_rejects_unknown_flag_bits(tmp_path):
+    model = small_model(seed=34, mean=True)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    blob = open(path, "rb").read()
+    for flags in (2 | 4, 2 | 2 ** 31):
+        bad = corrupt_header(tmp_path, blob, model.graph.num_domains, "flags", flags)
+        with pytest.raises(ValueError, match="flags"):
+            load_checkpoint(bad, model.graph)
 
 
 def test_checkpoint_rejects_wrong_graph(tmp_path):
