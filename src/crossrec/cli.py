@@ -20,10 +20,12 @@ from .baselines import SyntheticSpec, generate_synthetic, manifest_json_subset, 
 from .data import (
     Interaction,
     InteractionLog,
+    atomic_open,
     compute_stats,
     format_stats_table,
     parse_log,
     split_leave_latest,
+    utf8_error,
     write_interactions_tsv,
 )
 from .evaluation import build_eval_tasks, evaluate, format_metric_table, write_metrics_kv
@@ -45,20 +47,24 @@ MODE_CHOICES = ("full", "specific_only", "shared_only", "mf")
 def parse_config_file(path: str) -> dict:
     """Flat key=value file -> string dict; duplicates and junk rejected."""
     raw = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            if "=" not in s:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = s.partition("=")
-            key, value = key.strip(), value.strip()
-            if not key:
-                raise ValueError(f"{path}:{lineno}: empty key")
-            if key in raw:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
+    for lineno, line in enumerate(lines, start=1):
+        s = line.strip()
+        if not s or s.startswith("#"):
+            continue
+        if "=" not in s:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        key, _, value = s.partition("=")
+        key, value = key.strip(), value.strip()
+        if not key:
+            raise ValueError(f"{path}:{lineno}: empty key")
+        if key in raw:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        raw[key] = value
     return raw
 
 
@@ -209,7 +215,7 @@ def cmd_train(args) -> int:
     data = _require_file(data, "--data")
     out = _ensure_out(args.out)
     split = split_leave_latest(parse_log(data))
-    with open(os.path.join(out, "train_log.tsv"), "w", encoding="utf-8") as log_fh:
+    with atomic_open(os.path.join(out, "train_log.tsv")) as log_fh:
         result = fit(split, config, log_stream=log_fh)
     save_checkpoint(result.model, os.path.join(out, "model.ckpt"))
     if result.reports:

@@ -8,6 +8,9 @@ shared across domains, items live in per-domain id spaces.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +94,35 @@ def _build_log(records) -> InteractionLog:
     return log
 
 
+def utf8_error(path: str) -> ValueError:
+    """The error for a text file that failed to decode, naming its first
+    line that is not valid UTF-8. Lines split as text mode splits them."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return ValueError(f"{path}:{lineno}: not valid UTF-8")
+    return ValueError(f"{path}: not valid UTF-8")
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w"):
+    """Open a temp file beside ``path`` for writing and move it onto
+    ``path`` once the block completes, so readers see the old file or
+    the whole new one; on an error the temp file is removed. The temp
+    file is created like ``open`` creates files (0666 less the umask)."""
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def parse_log(path: str) -> InteractionLog:
     """Parse a TSV interaction file into an InteractionLog.
 
@@ -119,7 +151,10 @@ def parse_log(path: str) -> InteractionLog:
                         f"{path}:{lineno}: timestamp {ts_raw!r} is not an integer") from None
                 yield user, item, domain, ts
 
-    log = _build_log(records())
+    try:
+        log = _build_log(records())
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
     if not log.interactions:
         raise ValueError(f"{path}: no interactions found")
     return log

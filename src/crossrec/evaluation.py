@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SplitResult
+from .data import SplitResult, atomic_open
 from .graph import HeteroGraph
 
 logger = logging.getLogger(__name__)
@@ -120,7 +120,7 @@ def format_metric_table(reports, domain_names=None) -> str:
 
 def write_metrics_kv(path: str, reports, domain_names=None) -> None:
     """Flat key=value metrics file for harness consumption."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for r in reports:
             name = domain_names[r.domain_id] if domain_names else f"d{r.domain_id}"
             fh.write(f"{name}.users={r.num_users}\n")

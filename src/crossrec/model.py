@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import atomic_open
 from .graph import HeteroGraph
 from .numeric import check_finite, relu, relu_backward
 
@@ -38,11 +39,6 @@ CHECKPOINT_MAGIC = b"DGM1"
 
 # parameter names of one conv in one domain: self (uu, ii) and neighbor (iu, ui)
 ConvWeights = namedtuple("ConvWeights", "uu ii iu ui")
-
-
-def score_pairs(o_u, o_i, users, items) -> np.ndarray:
-    """Row-wise dots o_u[users[k]] . o_i[items[k]]."""
-    return np.einsum("ij,ij->i", o_u[np.asarray(users)], o_i[np.asarray(items)])
 
 
 def init_params(seed: int, shapes) -> dict:
@@ -165,10 +161,13 @@ class DisentangledGraphModel:
         expected = self.param_shapes()
         names = [n for n, _ in expected]
         if list(params.keys()) != names:
-            missing = set(names) - set(params)
-            extra = set(params) - set(names)
-            raise ValueError(f"parameter set mismatch: missing {sorted(missing)}, "
-                             f"unexpected {sorted(extra)}")
+            def some(found):  # a count and the first few names, kept on one line
+                if not found:
+                    return "none"
+                more = ", ..." if len(found) > 5 else ""
+                return f"{len(found)} ({', '.join(map(repr, sorted(found)[:5]))}{more})"
+            raise ValueError(f"parameter set mismatch: missing {some(set(names) - set(params))}, "
+                             f"unexpected {some(set(params) - set(names))}")
         for name, shape in expected:
             if params[name].shape != shape:
                 raise ValueError(f"param {name}: shape {params[name].shape}, want {shape}")
@@ -314,7 +313,7 @@ def save_checkpoint(model, path: str) -> None:
     g = model.graph
     kind, layers, flags = _model_header(model)
     shapes = model.param_shapes()
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", kind, g.num_domains))
         fh.write(struct.pack("<I", g.num_users))

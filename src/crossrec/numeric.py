@@ -100,6 +100,21 @@ class CsrAggregator:
         return self._mat_t @ rows
 
 
+def scatter_rows(index, rows, num_rows: int) -> Array:
+    """out[index[k]] += rows[k] into zeros, in k order: bitwise equal to
+    ``np.add.at``. One CSC column per row, each holding a 1.0, so the
+    sparse matmul walks the columns in order and multiplies exactly."""
+    index = np.asarray(index, dtype=np.int64)
+    rows = as_matrix(rows, "rows")
+    n = len(index)
+    if index.ndim != 1 or rows.shape[0] != n:
+        raise ValueError(f"need one index per row, got {index.shape} for {rows.shape[0]} rows")
+    if n and (index.min() < 0 or index.max() >= num_rows):
+        raise ValueError(f"row index out of range [0, {num_rows})")
+    incidence = sp.csc_matrix((np.ones(n), index, np.arange(n + 1)), shape=(num_rows, n))
+    return incidence @ rows
+
+
 @dataclass
 class AdamState:
     """Adam optimizer state for a single parameter matrix."""

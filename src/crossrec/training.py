@@ -18,9 +18,9 @@ from scipy.special import expit
 
 from .data import SplitResult, split_leave_latest
 from .graph import HeteroGraph, build_graph
-from .model import DisentangledGraphModel, score_pairs
+from .model import DisentangledGraphModel
 from .model import save_checkpoint, load_checkpoint  # re-exported  # noqa: F401
-from .numeric import AdamState, adam_step, finite_diff_grad
+from .numeric import AdamState, adam_step, finite_diff_grad, scatter_rows
 
 logger = logging.getLogger(__name__)
 
@@ -175,6 +175,28 @@ def domain_loss(x_pos, x_neg, params: dict = None, lambda_reg: float = 0.0) -> f
     return loss
 
 
+def bpr_domain_step(o_u, o_i, batch: TripletBatch, beta: float):
+    """Fused BPR step of one domain on its output tables.
+
+    Gathers each operand once, scores both sides, and scatters the
+    gradient of beta * mean BPR back to the tables. Returns (x_pos,
+    x_neg, do_u, do_i).
+    """
+    u_rows = o_u[batch.users]
+    pos_rows = o_i[batch.pos_items]
+    neg_rows = o_i[batch.neg_items]
+    x_pos = np.einsum("ij,ij->i", u_rows, pos_rows)
+    x_neg = np.einsum("ij,ij->i", u_rows, neg_rows)
+    # d(beta * mean BPR)/d(z_k) for each triplet
+    dz = (beta / len(batch) * bpr_loss_grad(x_pos, x_neg))[:, None]
+    do_u = scatter_rows(batch.users, dz * (pos_rows - neg_rows), len(o_u))
+    # positives before negatives: np.add.at's order into every item row
+    g_i = dz * u_rows
+    do_i = scatter_rows(np.concatenate([batch.pos_items, batch.neg_items]),
+                        np.concatenate([g_i, -g_i]), len(o_i))
+    return x_pos, x_neg, do_u, do_i
+
+
 def compute_loss_and_grads(model, batches: dict, lambda_reg: float,
                            betas: list, reg_per_domain: bool = False):
     """Total weighted loss and gradients for one step.
@@ -186,29 +208,22 @@ def compute_loss_and_grads(model, batches: dict, lambda_reg: float,
     """
     acts = model.forward()
     domain_losses = {}
-    do_u = [np.zeros_like(a) for a in acts.o_u]
-    do_i = [np.zeros_like(a) for a in acts.o_i]
+    do_u, do_i = {}, {}  # output gradients of the domains with a batch
     total = 0.0
     for d in sorted(batches):
         batch = batches[d]
         if len(batch) == 0:
             raise ValueError(f"empty triplet batch for domain {d}")
-        x_pos = score_pairs(acts.o_u[d], acts.o_i[d], batch.users, batch.pos_items)
-        x_neg = score_pairs(acts.o_u[d], acts.o_i[d], batch.users, batch.neg_items)
+        x_pos, x_neg, do_u[d], do_i[d] = bpr_domain_step(acts.o_u[d], acts.o_i[d],
+                                                         batch, betas[d])
         mean_bpr = float(np.mean(bpr_loss(x_pos, x_neg)))
         domain_losses[d] = mean_bpr
         total += betas[d] * mean_bpr
-        # d(total)/d(z_k) for each triplet, folding in the batch mean
-        dz = betas[d] / len(batch) * bpr_loss_grad(x_pos, x_neg)
-        u_rows = acts.o_u[d][batch.users]
-        np.add.at(do_u[d], batch.users,
-                  dz[:, None] * (acts.o_i[d][batch.pos_items] - acts.o_i[d][batch.neg_items]))
-        np.add.at(do_i[d], batch.pos_items, dz[:, None] * u_rows)
-        np.add.at(do_i[d], batch.neg_items, -dz[:, None] * u_rows)
     if not np.isfinite(total):
         raise RuntimeError(f"non-finite loss: total={total}, per-domain={domain_losses}; "
                            "check inputs or lower the learning rate")
-    grads = model.backward(acts, do_u, do_i)
+    grads = model.backward(acts, [do_u.get(d, np.zeros_like(o)) for d, o in enumerate(acts.o_u)],
+                           [do_i.get(d, np.zeros_like(o)) for d, o in enumerate(acts.o_i)])
     if lambda_reg:
         reg_scale = lambda_reg * (sum(betas[d] for d in batches) if reg_per_domain else 1.0)
         total += reg_scale * params_sumsq(model.params)

@@ -2,6 +2,7 @@
 config parsing, determinism of artifacts, exit codes."""
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -108,6 +109,22 @@ def test_missing_data_file_fails(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_invalid_utf8_names_file_and_line(tmp_path, tiny_tsv, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"# header\nu1\ti1\tbooks\t1\nu1\ti\xff\tbooks\t2\n")
+    rc = main(["prepare", "--data", str(bad), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {bad}:3: not valid UTF-8\n"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"epochs=1\n\xff=2\n")
+    rc = main(["train", "--config", str(cfg), "--data", tiny_tsv,
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {cfg}:2: not valid UTF-8\n"
+
+
 # -- train / eval ---------------------------------------------------------------------
 
 
@@ -132,6 +149,42 @@ def test_train_writes_checkpoint_and_log(tmp_path, tiny_tsv, capsys):
     assert cells[0] == "20"
     final_line = capsys.readouterr().out.strip()
     assert final_line.split("\t")[0] == "20"
+
+
+def test_failed_writes_keep_earlier_artifacts(tmp_path, tiny_tsv, monkeypatch, capsys):
+    import crossrec.cli
+    from crossrec.data import split_leave_latest
+    from crossrec.evaluation import write_metrics_kv
+    from crossrec.graph import build_graph
+    from crossrec.model import load_checkpoint, save_checkpoint
+
+    out = tmp_path / "run"
+    ckpt = str(out / "model.ckpt")
+    assert main(["train", "--config", train_cfg(tmp_path, epochs=3), "--data", tiny_tsv,
+                 "--out", str(out)]) == 0
+    eval_cfg = tmp_path / "eval.cfg"
+    eval_cfg.write_text("num_eval_negatives=1\n")
+    assert main(["eval", "--config", str(eval_cfg), "--data", tiny_tsv, "--checkpoint", ckpt,
+                 "--out", str(out)]) == 0
+    names = ("model.ckpt", "train_log.tsv", "metrics.kv")
+    before = {name: read(out / name) for name in names}
+
+    def fit_fails(split, config, log_stream=None):
+        print("1\t0.5\t0.5\t0.5\t1.0", file=log_stream)
+        raise RuntimeError("non-finite loss at epoch 1")
+
+    monkeypatch.setattr(crossrec.cli, "fit", fit_fails)
+    assert main(["train", "--config", train_cfg(tmp_path), "--data", tiny_tsv,
+                 "--out", str(out)]) == 1
+    model = load_checkpoint(ckpt, build_graph(split_leave_latest(parse_log(tiny_tsv)).train))
+    model.params[next(reversed(model.params))] = None  # fails after the header
+    with pytest.raises(AttributeError):
+        save_checkpoint(model, ckpt)
+    report = SimpleNamespace(domain_id=0, num_users=1, hr_at_10=1.0, ndcg_at_10=1.0)
+    with pytest.raises(AttributeError):  # after the first report's lines
+        write_metrics_kv(str(out / "metrics.kv"), [report, None])
+    assert {name: read(out / name) for name in names} == before
+    assert sorted(os.listdir(out)) == sorted(names)
 
 
 def test_zero_lr_checkpoint_equals_init(tmp_path, tiny_tsv):

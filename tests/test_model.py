@@ -12,9 +12,9 @@ from crossrec.model import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    score_pairs,
 )
 from crossrec.numeric import finite_diff_grad
+from crossrec.training import TripletBatch, bpr_domain_step
 
 from helpers import make_log, oracle_forward, random_graph
 
@@ -161,13 +161,22 @@ def test_output_identity_transform_is_plain_sum():
 # -- scoring ------------------------------------------------------------------
 
 
+def fused_scores(o_u, o_i, users, pos, neg=None):
+    """(x_pos, x_neg) of the fused BPR step; neg defaults to pos."""
+    neg = pos if neg is None else neg
+    batch = TripletBatch(0, np.asarray(users), np.asarray(pos), np.asarray(neg))
+    x_pos, x_neg, _, _ = bpr_domain_step(o_u, o_i, batch, 1.0)
+    return x_pos, x_neg
+
+
 def test_score_orthogonal_and_aligned():
     v = np.zeros((1, 4))
     v[0, 2] = 1.0
     w = np.zeros((1, 4))
     w[0, 1] = 1.0
-    assert score_pairs(v, w, [0], [0])[0] == 0.0
-    assert score_pairs(v, v, [0], [0])[0] == 1.0
+    x_pos, x_neg = fused_scores(v, np.vstack([w, v]), [0], [0], [1])
+    assert x_pos[0] == 0.0
+    assert x_neg[0] == 1.0
 
 
 def test_score_matches_loop_dot():
@@ -175,7 +184,8 @@ def test_score_matches_loop_dot():
     a = rng.standard_normal((1, 128))
     b = rng.standard_normal((1, 128))
     want = sum(float(a[0, k]) * float(b[0, k]) for k in range(128))
-    assert abs(score_pairs(a, b, [0], [0])[0] - want) < 1e-12
+    for x in fused_scores(a, b, [0], [0]):
+        assert abs(x[0] - want) < 1e-12
 
 
 def test_score_pairs_matches_scalar_score():
@@ -184,9 +194,10 @@ def test_score_pairs_matches_scalar_score():
     o_i = rng.standard_normal((7, 6))
     users = np.array([0, 3, 4])
     items = np.array([6, 0, 2])
-    got = score_pairs(o_u, o_i, users, items)
+    x_pos, x_neg = fused_scores(o_u, o_i, users, items, items[::-1])
     for k in range(3):
-        assert abs(got[k] - float(o_u[users[k]] @ o_i[items[k]])) < 1e-12
+        assert abs(x_pos[k] - float(o_u[users[k]] @ o_i[items[k]])) < 1e-12
+        assert abs(x_neg[k] - float(o_u[users[k]] @ o_i[items[2 - k]])) < 1e-12
 
 
 # -- backward -----------------------------------------------------------------
@@ -472,6 +483,22 @@ def test_checkpoint_rejects_layers_beyond_stored_matrices(tmp_path):
         bad = corrupt_header(tmp_path, blob, model.graph.num_domains, "layers", layers)
         with pytest.raises(ValueError, match=f"layers {layers} outside"):
             load_checkpoint(bad, model.graph)
+
+
+def test_parameter_mismatch_message_is_bounded(tmp_path):
+    # layers n_params passes the header bound, so the model is built and
+    # its many extra expected names must not all land in the message
+    model = small_model(seed=35)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    n_params = len(model.params)
+    bad = corrupt_header(tmp_path, open(path, "rb").read(), model.graph.num_domains,
+                         "layers", n_params)
+    with pytest.raises(ValueError, match="parameter set mismatch") as err:
+        load_checkpoint(bad, model.graph)
+    msg = str(err.value)
+    assert "\n" not in msg and len(msg) < 400, msg
+    assert "unexpected none" in msg and ", ...)" in msg
 
 
 def test_checkpoint_rejects_unknown_flag_bits(tmp_path):

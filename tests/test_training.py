@@ -9,7 +9,7 @@ import pytest
 
 from crossrec.data import split_leave_latest
 from crossrec.graph import build_graph
-from crossrec.model import DisentangledGraphModel, load_checkpoint, save_checkpoint, score_pairs
+from crossrec.model import DisentangledGraphModel, load_checkpoint, save_checkpoint
 from crossrec.numeric import AdamState, adam_step
 from crossrec.training import (
     EpochReport,
@@ -150,6 +150,56 @@ def test_total_loss_matches_independent_recomputation():
         want += betas[d] * acc
     want += lam * sum(float(np.sum(p * p)) for p in model.params.values())
     assert abs(total - want) < 1e-10
+
+
+def add_at_loss_and_grads(model, batches, lambda_reg, betas):
+    """The loss side as written with np.add.at scatters: the reference
+    the fused step must match bit for bit."""
+    acts = model.forward()
+    per_domain = {}
+    do_u = [np.zeros_like(a) for a in acts.o_u]
+    do_i = [np.zeros_like(a) for a in acts.o_i]
+    total = 0.0
+    for d in sorted(batches):
+        b = batches[d]
+        x_pos = np.einsum("ij,ij->i", acts.o_u[d][b.users], acts.o_i[d][b.pos_items])
+        x_neg = np.einsum("ij,ij->i", acts.o_u[d][b.users], acts.o_i[d][b.neg_items])
+        per_domain[d] = float(np.mean(bpr_loss(x_pos, x_neg)))
+        total += betas[d] * per_domain[d]
+        dz = betas[d] / len(b) * bpr_loss_grad(x_pos, x_neg)
+        u_rows = acts.o_u[d][b.users]
+        np.add.at(do_u[d], b.users,
+                  dz[:, None] * (acts.o_i[d][b.pos_items] - acts.o_i[d][b.neg_items]))
+        np.add.at(do_i[d], b.pos_items, dz[:, None] * u_rows)
+        np.add.at(do_i[d], b.neg_items, -dz[:, None] * u_rows)
+    grads = model.backward(acts, do_u, do_i)
+    total += lambda_reg * sum(float(np.sum(p * p)) for p in model.params.values())
+    for name, param in model.params.items():
+        grads[name] += 2.0 * lambda_reg * param
+    return total, per_domain, grads
+
+
+@pytest.mark.parametrize("mode", ["full", "mf"])
+def test_fused_step_is_bitwise_add_at_reference(mode):
+    rng = np.random.default_rng(23)
+    graph, _ = random_graph(rng, 9, (7, 6), 30)
+    config = TrainConfig(dim=5, layers=2, mode=mode, mean_aggregation=True, seed=3)
+    model = make_model(graph, config)
+    for trial in range(5):
+        batches = {d: sample_triplets(graph, d, 25, np.random.default_rng([trial, d]))
+                   for d in range(2)}
+        if trial == 4:
+            del batches[0]  # a domain without a batch gets zero output gradients
+        got = compute_loss_and_grads(model, batches, 1e-3, [0.3, 0.7])
+        want = add_at_loss_and_grads(model, batches, 1e-3, [0.3, 0.7])
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        assert got[2].keys() == want[2].keys()
+        for name in want[2]:
+            assert np.array_equal(got[2][name], want[2][name]), name
+    empty = np.zeros(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="empty triplet batch for domain 1"):
+        compute_loss_and_grads(model, {1: TripletBatch(1, empty, empty, empty)}, 0.0, [0.5, 0.5])
 
 
 def test_weighting_linearity():
