@@ -10,17 +10,13 @@ Run from the repository root:  python3 demos/04_gradient_check.py
 
 import numpy as np
 
+from crossrec.baselines import random_log
+from crossrec.graph import build_graph
 from crossrec.model import DisentangledGraphModel
 from crossrec.training import gradient_check, sample_triplets
 
-import sys
-import os
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-from helpers import random_graph  # noqa: E402  (the tiny random-graph builder)
-
 rng = np.random.default_rng(8)
-graph, _ = random_graph(rng, 5, [4, 4], 14)
+graph = build_graph(random_log(rng, 5, [4, 4], 14))
 model = DisentangledGraphModel(graph, dim=4, layers=2, mode="full", seed=8)
 batches = {d: sample_triplets(graph, d, graph.num_edges(d), rng) for d in range(2)}
 

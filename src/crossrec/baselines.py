@@ -1,19 +1,21 @@
-"""Comparison models and controlled synthetic data.
+"""Comparison models, controlled synthetic data and random logs.
 
 The factorization baseline trains and evaluates through the shared
 trainer/evaluator, as the conv model's single-path modes do, so metric
 differences come from the models alone. The synthetic generator plants a tunable
-amount of cross-domain preference signal for trend experiments.
+amount of cross-domain preference signal for trend experiments; the
+random log is the tiny arbitrary graph the gradient check runs on.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import InteractionLog
+from .data import Interaction, InteractionLog
 from .graph import HeteroGraph
 from .model import Activations
 
@@ -109,8 +111,8 @@ class SyntheticSpec:
                 raise ValueError(f"{field_name} must be positive")
         if self.interactions_per_user >= self.items_per_domain:
             raise ValueError("interactions_per_user must be below items_per_domain")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("temperature must be positive and finite")
 
 
 def generate_synthetic(spec: SyntheticSpec):
@@ -154,13 +156,7 @@ def generate_synthetic(spec: SyntheticSpec):
     if not interactions:
         raise ValueError("degenerate spec produced no interactions")
 
-    from .data import Interaction
-    log = InteractionLog(
-        interactions=[Interaction(*t) for t in interactions],
-        user_names=[f"u{n}" for n in range(U)],
-        item_names=[[f"i{n}" for n in range(I)] for _ in range(D)],
-        domain_names=[f"d{n}" for n in range(D)],
-    )
+    log = _numbered_log([Interaction(*t) for t in interactions], U, [I] * D)
     manifest = {
         "num_users": U,
         "num_domains": D,
@@ -192,27 +188,33 @@ def manifest_json_subset(manifest: dict) -> dict:
     return out
 
 
-def run_grid(split, modes, seeds, base_config, out_stream=None):
-    """Train/evaluate every (mode, seed) combination with a shared
-    protocol; returns rows and optionally appends them as TSV."""
-    from .evaluation import build_eval_tasks, evaluate
-    from .training import TrainConfig, fit
+def random_log(rng, num_users: int, items_per_domain, num_edges: int) -> InteractionLog:
+    """A random log of num_edges distinct (user, item, domain) edges,
+    timestamped in draw order; every domain gets at least one edge.
 
-    rows = []
-    for mode in modes:
-        for seed in seeds:
-            cfg_kwargs = dict(base_config.__dict__) if isinstance(base_config, TrainConfig) \
-                else dict(base_config)
-            cfg_kwargs["mode"] = mode
-            cfg_kwargs["seed"] = seed
-            config = TrainConfig(**cfg_kwargs)
-            result = fit(split, config)
-            tasks = build_eval_tasks(split, result.graph, seed=seed,
-                                     num_negatives=config.num_eval_negatives)
-            metrics = evaluate(result.model, tasks)
-            for m in metrics:
-                row = (mode, seed, m.domain_id, m.num_users, m.hr_at_10, m.ndcg_at_10)
-                rows.append(row)
-                if out_stream is not None:
-                    print("\t".join(str(c) for c in row), file=out_stream)
-    return rows
+    Draws one (user, item) per domain in turn, then (domain, user, item)
+    triples, dropping repeats, until num_edges edges are drawn.
+    """
+    pairs = num_users * sum(items_per_domain)
+    if num_edges > pairs:
+        raise ValueError(f"num_edges={num_edges} exceeds the {pairs} distinct "
+                         "(user, item, domain) pairs")
+    edges = {}  # insertion-ordered set
+    for d, count in enumerate(items_per_domain):
+        edges[(int(rng.integers(num_users)), int(rng.integers(count)), d)] = None
+    while len(edges) < num_edges:
+        d = int(rng.integers(len(items_per_domain)))
+        edges.setdefault((int(rng.integers(num_users)),
+                          int(rng.integers(items_per_domain[d])), d))
+    return _numbered_log([Interaction(u, i, d, k) for k, (u, i, d) in enumerate(edges)],
+                         num_users, items_per_domain)
+
+
+def _numbered_log(interactions, num_users: int, items_per_domain) -> InteractionLog:
+    """A log over users u0.., items i0.. per domain and domains d0.."""
+    return InteractionLog(
+        interactions=interactions,
+        user_names=[f"u{n}" for n in range(num_users)],
+        item_names=[[f"i{n}" for n in range(c)] for c in items_per_domain],
+        domain_names=[f"d{n}" for n in range(len(items_per_domain))],
+    )

@@ -13,13 +13,12 @@ import json
 import logging
 import os
 import sys
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .baselines import SyntheticSpec, generate_synthetic, manifest_json_subset, run_grid
+from .baselines import SyntheticSpec, generate_synthetic, manifest_json_subset, random_log
 from .data import (
-    Interaction,
-    InteractionLog,
     atomic_open,
     compute_stats,
     format_stats_table,
@@ -30,7 +29,7 @@ from .data import (
 )
 from .evaluation import build_eval_tasks, evaluate, format_metric_table, write_metrics_kv
 from .graph import build_graph
-from .model import load_checkpoint, save_checkpoint
+from .model import MODES, load_checkpoint, save_checkpoint
 from .training import (
     TrainConfig,
     fit,
@@ -41,7 +40,7 @@ from .training import (
     sample_triplets,
 )
 
-MODE_CHOICES = ("full", "specific_only", "shared_only", "mf")
+MODE_CHOICES = MODES + ("mf",)
 
 
 def parse_config_file(path: str) -> dict:
@@ -91,58 +90,48 @@ def _mode(s: str) -> str:
     return s
 
 
-TRAIN_KEYS = {
-    "epochs": int,
-    "dim": int,
-    "layers": int,
-    "lr": float,
-    "beta1": float,
-    "beta2": float,
-    "eps": float,
-    "lambda_reg": float,
-    "domain_weights": _weights,
-    "triplets_per_epoch": _int_or_none,
-    "seed": int,
-    "mode": _mode,
-    "tie_relation_weights": _bool,
-    "mean_aggregation": _bool,
-    "reg_per_domain": _bool,
-    "use_validation": _bool,
-    "eval_every": int,
-    "num_eval_negatives": int,
-}
+def _ints(s: str) -> list:
+    return [int(x) for x in s.split(",")]
 
-SYNTH_KEYS = {
-    "num_users": int,
-    "items_per_domain": int,
-    "num_domains": int,
-    "latent_dim": int,
-    "shared_signal": float,
-    "interactions_per_user": int,
-    "temperature": float,
-    "seed": int,
-    "matched_item_latents": _bool,
-}
 
-GRADCHECK_KEYS = {
-    "num_users": int,
-    "items_per_domain": lambda s: [int(x) for x in s.split(",")],
-    "num_edges": int,
-    "dim": int,
-    "layers": int,
-    "mode": _mode,
-    "tie_relation_weights": _bool,
-    "mean_aggregation": _bool,
-    "lambda_reg": float,
-    "triplets": int,
-    "seed": int,
-    "corrupt_param": str,  # negative-control hook: breaks one gradient
-}
+_PARSER_BY_TYPE = {bool: _bool, int: int, float: float, str: str}
+
+
+def config_keys(cls, **parsers) -> dict:
+    """Config key -> parser for each field of a config dataclass: the
+    parser given for it by name, else the one for its default's type."""
+    return {f.name: parsers[f.name] if f.name in parsers else _PARSER_BY_TYPE[type(f.default)]
+            for f in fields(cls)}
+
+
+@dataclass
+class GradcheckSpec:
+    """The gradient check's random graph, model and objective."""
+
+    num_users: int = 6
+    items_per_domain: tuple = (5, 4)
+    num_edges: int = 14
+    dim: int = 4
+    layers: int = 2
+    mode: str = "full"
+    tie_relation_weights: bool = False
+    mean_aggregation: bool = False
+    lambda_reg: float = 1e-3
+    triplets: int = 12
+    seed: int = 0
+    corrupt_param: str = None  # negative-control hook: breaks one gradient
+
+
+TRAIN_KEYS = config_keys(TrainConfig, domain_weights=_weights,
+                         triplets_per_epoch=_int_or_none, mode=_mode)
+SYNTH_KEYS = config_keys(SyntheticSpec)
+GRADCHECK_KEYS = config_keys(GradcheckSpec, items_per_domain=_ints, mode=_mode,
+                             corrupt_param=str)
 
 BENCH_KEYS = dict(TRAIN_KEYS)
 BENCH_KEYS.update({
     "modes": lambda s: [_mode(x) for x in s.split(",")],
-    "seeds": lambda s: [int(x) for x in s.split(",")],
+    "seeds": _ints,
 })
 del BENCH_KEYS["mode"], BENCH_KEYS["seed"]
 
@@ -158,10 +147,13 @@ def coerce(raw: dict, schema: dict, allow: tuple = ()) -> dict:
     return out
 
 
-def _load_config(path, schema, allow=()):
+def _load_config(path, schema, allow=(), **flags):
+    """(typed keys, raw allowed extras) of a config file; every flag
+    that is not None overrides its key."""
     raw = parse_config_file(path) if path else {}
-    extras = {k: raw[k] for k in allow if k in raw}
-    return coerce(raw, schema, allow), extras
+    kwargs = coerce(raw, schema, allow)
+    kwargs.update((k, v) for k, v in flags.items() if v is not None)
+    return kwargs, {k: raw[k] for k in allow if k in raw}
 
 
 def _require_file(path: str, what: str) -> str:
@@ -188,31 +180,20 @@ def cmd_prepare(args) -> int:
     log = parse_log(data)
     split = split_leave_latest(log)
     write_interactions_tsv(os.path.join(out, "train.tsv"), split.train)
-    with open(os.path.join(out, "test.tsv"), "w", encoding="utf-8") as fh:
-        for rec in split.test:
-            fh.write(f"{log.user_names[rec.user_id]}\t"
-                     f"{log.item_names[rec.domain_id][rec.item_id]}\t"
-                     f"{log.domain_names[rec.domain_id]}\t{rec.timestamp}\n")
+    write_interactions_tsv(os.path.join(out, "test.tsv"),
+                           replace(split.train, interactions=split.test))
     table = format_stats_table(compute_stats(log))
-    with open(os.path.join(out, "stats.txt"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, "stats.txt")) as fh:
         fh.write(table + "\n")
     print(table)
     return 0
 
 
-def _train_config(args) -> tuple:
-    kwargs, extras = _load_config(args.config, TRAIN_KEYS, allow=("data",))
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.mode is not None:
-        kwargs["mode"] = args.mode
-    data = args.data or extras.get("data")
-    return TrainConfig(**kwargs), data
-
-
 def cmd_train(args) -> int:
-    config, data = _train_config(args)
-    data = _require_file(data, "--data")
+    kwargs, extras = _load_config(args.config, TRAIN_KEYS, ("data",),
+                                  seed=args.seed, mode=args.mode)
+    config = TrainConfig(**kwargs)
+    data = _require_file(args.data or extras.get("data"), "--data")
     out = _ensure_out(args.out)
     split = split_leave_latest(parse_log(data))
     with atomic_open(os.path.join(out, "train_log.tsv")) as log_fh:
@@ -224,8 +205,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    kwargs, _ = _load_config(args.config, {"num_eval_negatives": int, "seed": int})
-    seed = args.seed if args.seed is not None else kwargs.get("seed", 0)
+    kwargs, _ = _load_config(args.config, {"num_eval_negatives": int, "seed": int},
+                             seed=args.seed)
+    seed = kwargs.get("seed", 0)
     num_negatives = kwargs.get("num_eval_negatives", 99)
     data = _require_file(args.data, "--data")
     ckpt = _require_file(args.checkpoint, "--checkpoint")
@@ -246,47 +228,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    kwargs, _ = _load_config(args.config, GRADCHECK_KEYS)
-    config_seed = kwargs.pop("seed", 0)
-    seed = args.seed if args.seed is not None else config_seed
-    config_mode = kwargs.pop("mode", "full")
-    mode = args.mode if args.mode is not None else config_mode
-    num_users = kwargs.pop("num_users", 6)
-    items = kwargs.pop("items_per_domain", [5, 4])
-    num_edges = kwargs.pop("num_edges", 14)
-    dim = kwargs.pop("dim", 4)
-    layers = kwargs.pop("layers", 2)
-    lambda_reg = kwargs.pop("lambda_reg", 1e-3)
-    triplets = kwargs.pop("triplets", 12)
-    corrupt = kwargs.pop("corrupt_param", None)
-
-    rng = np.random.default_rng(seed)
-    seen, edges = set(), []
-    for d in range(len(items)):
-        edges.append((int(rng.integers(num_users)), int(rng.integers(items[d])), d))
-        seen.add(edges[-1])
-    while len(edges) < num_edges:
-        d = int(rng.integers(len(items)))
-        e = (int(rng.integers(num_users)), int(rng.integers(items[d])), d)
-        if e not in seen:
-            seen.add(e)
-            edges.append(e)
-    log = InteractionLog(
-        interactions=[Interaction(u, i, d, k) for k, (u, i, d) in enumerate(edges)],
-        user_names=[f"u{n}" for n in range(num_users)],
-        item_names=[[f"i{n}" for n in range(c)] for c in items],
-        domain_names=[f"d{n}" for n in range(len(items))],
-    )
-    graph = build_graph(log)
-    config = TrainConfig(dim=dim, layers=layers, mode=mode, seed=seed,
-                         lambda_reg=lambda_reg, **kwargs)
+    kwargs, _ = _load_config(args.config, GRADCHECK_KEYS, seed=args.seed, mode=args.mode)
+    spec = GradcheckSpec(**kwargs)
+    graph = build_graph(random_log(np.random.default_rng(spec.seed), spec.num_users,
+                                   spec.items_per_domain, spec.num_edges))
+    config = TrainConfig(dim=spec.dim, layers=spec.layers, mode=spec.mode, seed=spec.seed,
+                         lambda_reg=spec.lambda_reg,
+                         tie_relation_weights=spec.tie_relation_weights,
+                         mean_aggregation=spec.mean_aggregation)
     model = make_model(graph, config)
     betas = resolve_domain_weights(graph, "auto")
-    batches = {d: sample_triplets(graph, d, triplets,
-                                  np.random.default_rng([seed, 99, d]))
+    batches = {d: sample_triplets(graph, d, spec.triplets,
+                                  np.random.default_rng([spec.seed, 99, d]))
                for d in range(graph.num_domains)}
-    report = gradient_check(model, batches, betas, lambda_reg=lambda_reg,
-                            corrupt_param=corrupt)
+    report = gradient_check(model, batches, betas, lambda_reg=spec.lambda_reg,
+                            corrupt_param=spec.corrupt_param)
     worst = max(report.values())
     for name in sorted(report):
         print(f"{name}\t{report[name]:.3e}")
@@ -296,14 +252,12 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    kwargs, _ = _load_config(args.config, SYNTH_KEYS)
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    out = _ensure_out(args.out)
+    kwargs, _ = _load_config(args.config, SYNTH_KEYS, seed=args.seed)
     spec = SyntheticSpec(**kwargs)
+    out = _ensure_out(args.out)
     log, manifest = generate_synthetic(spec)
     write_interactions_tsv(os.path.join(out, "interactions.tsv"), log)
-    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, "manifest.json")) as fh:
         json.dump(manifest_json_subset(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(format_stats_table(compute_stats(log)))
@@ -311,21 +265,30 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    kwargs, extras = _load_config(args.config, BENCH_KEYS, allow=("data",))
+    kwargs, extras = _load_config(args.config, BENCH_KEYS, ("data",))
     modes = kwargs.pop("modes", ["full"])
     seeds = kwargs.pop("seeds", [0])
-    data = args.data or extras.get("data")
-    data = _require_file(data, "--data")
+    configs = [TrainConfig(**kwargs, mode=mode, seed=seed) for mode in modes for seed in seeds]
+    data = _require_file(args.data or extras.get("data"), "--data")
     out = _ensure_out(args.out)
     split = split_leave_latest(parse_log(data))
     results_path = os.path.join(out, "results.tsv")
     new_file = not os.path.exists(results_path)
+    rows = []
     with open(results_path, "a", encoding="utf-8") as fh:
         if new_file:
             fh.write("mode\tseed\tdomain\tusers\thr_at_10\tndcg_at_10\n")
-        rows = run_grid(split, modes, seeds, kwargs, out_stream=fh)
+        for config in configs:
+            result = fit(split, config)
+            tasks = build_eval_tasks(split, result.graph, seed=config.seed,
+                                     num_negatives=config.num_eval_negatives)
+            for m in evaluate(result.model, tasks):
+                rows.append("\t".join(str(c) for c in (
+                    config.mode, config.seed, m.domain_id, m.num_users, m.hr_at_10,
+                    m.ndcg_at_10)))
+                print(rows[-1], file=fh)
     for row in rows:
-        print("\t".join(str(c) for c in row))
+        print(row)
     return 0
 
 
@@ -363,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="compare analytic gradients to finite differences")
     p.add_argument("--config", help="optional key=value gradcheck config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=MODE_CHOICES[:3])
+    p.add_argument("--mode", choices=MODES)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate a synthetic multi-domain dataset")

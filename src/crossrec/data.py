@@ -161,8 +161,9 @@ def parse_log(path: str) -> InteractionLog:
 
 
 def write_interactions_tsv(path: str, log: InteractionLog) -> None:
-    """Write a log back to the TSV input format (round-trips via parse_log)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write a log back to the TSV input format (round-trips via parse_log),
+    atomically."""
+    with atomic_open(path) as fh:
         for rec in log.interactions:
             fh.write(f"{log.user_names[rec.user_id]}\t"
                      f"{log.item_names[rec.domain_id][rec.item_id]}\t"

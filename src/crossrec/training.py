@@ -10,6 +10,7 @@ baseline all run through this exact code path.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -17,9 +18,9 @@ import numpy as np
 from scipy.special import expit
 
 from .data import SplitResult, split_leave_latest
+from .evaluation import build_eval_tasks, evaluate
 from .graph import HeteroGraph, build_graph
 from .model import DisentangledGraphModel
-from .model import save_checkpoint, load_checkpoint  # re-exported  # noqa: F401
 from .numeric import AdamState, adam_step, finite_diff_grad, scatter_rows
 
 logger = logging.getLogger(__name__)
@@ -50,10 +51,11 @@ class TrainConfig:
     num_eval_negatives: int = 99
 
     def __post_init__(self):
-        if self.lambda_reg < 0:
-            raise ValueError("lambda_reg must be nonnegative")
-        if self.lr < 0:
-            raise ValueError("lr must be nonnegative")
+        # written so that NaN fails the test too
+        if not 0 <= self.lambda_reg < math.inf:
+            raise ValueError("lambda_reg must be nonnegative and finite")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError("lr must be nonnegative and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
         if self.dim <= 0:
@@ -62,8 +64,8 @@ class TrainConfig:
             raise ValueError("layers must be at least 1")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         if self.triplets_per_epoch is not None and self.triplets_per_epoch < 1:
             raise ValueError("triplets_per_epoch must be at least 1 (or none)")
         if self.eval_every < 1:
@@ -72,8 +74,8 @@ class TrainConfig:
             raise ValueError("num_eval_negatives must be at least 1")
         if self.domain_weights != "auto":
             weights = list(self.domain_weights)
-            if any(w <= 0 for w in weights):
-                raise ValueError("domain weights must be positive")
+            if not all(0 < w < math.inf for w in weights):
+                raise ValueError("domain weights must be positive and finite")
             self.domain_weights = weights
 
 
@@ -156,25 +158,6 @@ def bpr_loss_grad(x_pos, x_neg) -> np.ndarray:
     return -expit(-z)
 
 
-def params_sumsq(params: dict) -> float:
-    return float(sum(np.sum(p * p) for p in params.values()))
-
-
-def domain_loss(x_pos, x_neg, params: dict = None, lambda_reg: float = 0.0) -> float:
-    """Mean triplet BPR loss, plus lambda_reg * ||theta||^2 when params
-    are supplied (the standalone form; the epoch loop adds the penalty
-    once on the total instead)."""
-    x_pos = np.atleast_1d(np.asarray(x_pos, dtype=np.float64))
-    if x_pos.size == 0:
-        raise ValueError("empty triplet batch")
-    loss = float(np.mean(bpr_loss(x_pos, x_neg)))
-    if lambda_reg:
-        if params is None:
-            raise ValueError("lambda_reg set but no params given")
-        loss += lambda_reg * params_sumsq(params)
-    return loss
-
-
 def bpr_domain_step(o_u, o_i, batch: TripletBatch, beta: float):
     """Fused BPR step of one domain on its output tables.
 
@@ -226,7 +209,7 @@ def compute_loss_and_grads(model, batches: dict, lambda_reg: float,
                            [do_i.get(d, np.zeros_like(o)) for d, o in enumerate(acts.o_i)])
     if lambda_reg:
         reg_scale = lambda_reg * (sum(betas[d] for d in batches) if reg_per_domain else 1.0)
-        total += reg_scale * params_sumsq(model.params)
+        total += reg_scale * float(sum(np.sum(p * p) for p in model.params.values()))
         for name, param in model.params.items():
             grads[name] += 2.0 * reg_scale * param
     return total, domain_losses, grads
@@ -339,7 +322,6 @@ def fit(split: SplitResult, config: TrainConfig, log_stream=None) -> FitResult:
         if log_stream is not None:
             print(format_epoch_line(report, graph.num_domains), file=log_stream)
         if val_split is not None and report.epoch % config.eval_every == 0:
-            from .evaluation import build_eval_tasks, evaluate
             if val_tasks is None:
                 val_tasks = build_eval_tasks(val_split, graph, seed=config.seed,
                                              num_negatives=config.num_eval_negatives)

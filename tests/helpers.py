@@ -8,6 +8,7 @@ test, so agreement is meaningful.
 
 import numpy as np
 
+from crossrec.baselines import random_log
 from crossrec.data import Interaction, InteractionLog
 from crossrec.graph import build_graph
 
@@ -23,23 +24,9 @@ def make_log(edges, num_users, items_per_domain):
 
 
 def random_graph(rng, num_users, items_per_domain, num_edges):
-    """Random simple bipartite multi-domain graph; every domain gets at
-    least one edge."""
-    seen = set()
-    edges = []
-    for d in range(len(items_per_domain)):
-        u = int(rng.integers(num_users))
-        i = int(rng.integers(items_per_domain[d]))
-        seen.add((u, i, d))
-        edges.append((u, i, d))
-    while len(edges) < num_edges:
-        d = int(rng.integers(len(items_per_domain)))
-        u = int(rng.integers(num_users))
-        i = int(rng.integers(items_per_domain[d]))
-        if (u, i, d) not in seen:
-            seen.add((u, i, d))
-            edges.append((u, i, d))
-    log = make_log(edges, num_users, list(items_per_domain))
+    """Random simple bipartite multi-domain graph and its log; every
+    domain gets at least one edge."""
+    log = random_log(rng, num_users, items_per_domain, num_edges)
     return build_graph(log), log
 
 

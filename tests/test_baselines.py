@@ -1,7 +1,6 @@
 """Tests for the factorization baseline, ablation wiring, and the
 synthetic data generator's planted signal."""
 
-import io
 import json
 
 import numpy as np
@@ -13,9 +12,9 @@ from crossrec.baselines import (
     SyntheticSpec,
     generate_synthetic,
     manifest_json_subset,
-    run_grid,
+    random_log,
 )
-from crossrec.data import compute_stats, split_leave_latest
+from crossrec.data import compute_stats
 from crossrec.graph import build_graph
 from crossrec.model import DisentangledGraphModel
 from crossrec.numeric import finite_diff_grad
@@ -216,8 +215,9 @@ def test_spec_validation():
         SyntheticSpec(num_users=0)
     with pytest.raises(ValueError):
         SyntheticSpec(interactions_per_user=500, items_per_domain=500)
-    with pytest.raises(ValueError):
-        SyntheticSpec(temperature=0.0)
+    for temperature in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="temperature"):
+            SyntheticSpec(temperature=temperature)
 
 
 def test_manifest_json_subset_is_serializable():
@@ -229,22 +229,20 @@ def test_manifest_json_subset_is_serializable():
     assert json.loads(text)["num_users"] == 60
 
 
-# -- benchmark grid -----------------------------------------------------------------
+# -- random logs -------------------------------------------------------------------
 
 
-def test_run_grid_produces_rows():
-    spec = SyntheticSpec(num_users=40, items_per_domain=30, num_domains=2,
-                         latent_dim=8, shared_signal=0.5,
-                         interactions_per_user=4, seed=6)
-    log, _ = generate_synthetic(spec)
-    split = split_leave_latest(log)
-    stream = io.StringIO()
-    base = dict(epochs=2, dim=4, layers=1, lr=0.01, triplets_per_epoch=20,
-                num_eval_negatives=10)
-    rows = run_grid(split, modes=["mf", "full"], seeds=[0], base_config=base,
-                    out_stream=stream)
-    assert {r[0] for r in rows} == {"mf", "full"}
-    assert all(len(r) == 6 for r in rows)
-    lines = stream.getvalue().strip().splitlines()
-    assert len(lines) == len(rows)
-    assert all(0.0 <= r[4] <= 1.0 and 0.0 <= r[5] <= 1.0 for r in rows)
+def test_random_log_edges_are_distinct_and_cover_every_domain():
+    log = random_log(np.random.default_rng(3), 4, (3, 2, 2), 20)
+    edges = [(r.user_id, r.item_id, r.domain_id) for r in log.interactions]
+    assert len(edges) == len(set(edges)) == 20
+    assert {d for _, _, d in edges} == {0, 1, 2}
+    assert [r.timestamp for r in log.interactions] == list(range(20))
+    assert all(i < (3, 2, 2)[d] for _, i, d in edges)
+
+
+def test_random_log_fills_every_pair_and_rejects_more():
+    log = random_log(np.random.default_rng(0), 2, (2, 1), 6)
+    assert len(log.interactions) == 6
+    with pytest.raises(ValueError, match="num_edges=7 exceeds the 6 distinct"):
+        random_log(np.random.default_rng(0), 2, (2, 1), 7)

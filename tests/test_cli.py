@@ -55,15 +55,28 @@ def test_unknown_config_key_fails_command(tmp_path, tiny_tsv, capsys):
     assert "bogus_knob" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad,key", [
-    ("use_validation=true\neval_every=0\n", "eval_every"),
-    ("beta1=1.0\n", "beta1"),
-], ids=["eval_every_zero", "beta1_one"])
-def test_out_of_range_config_is_rejected_up_front(tmp_path, tiny_tsv, capsys, bad, key):
+@pytest.mark.parametrize("command,bad,key", [
+    ("train", "use_validation=true\neval_every=0\n", "eval_every"),
+    ("train", "beta1=1.0\n", "beta1"),
+    ("train", "eps=inf\n", "eps"),
+    ("train", "lr=nan\n", "lr"),
+    ("train", "lambda_reg=inf\n", "lambda_reg"),
+    ("train", "domain_weights=nan,1\n", "domain weights"),
+    ("synth", "temperature=nan\n", "temperature"),
+    ("bench", "beta1=1.0\n", "beta1"),
+], ids=["eval_every_zero", "beta1_one", "eps_inf", "lr_nan", "lambda_reg_inf",
+        "domain_weight_nan", "synth_temperature_nan", "bench_beta1_one"])
+def test_out_of_range_config_is_rejected_up_front(tmp_path, tiny_tsv, capsys,
+                                                  command, bad, key):
     cfg = tmp_path / "t.cfg"
-    cfg.write_text("epochs=2\ndim=4\nlayers=1\n" + bad)
     out = tmp_path / "out"
-    rc = main(["train", "--config", str(cfg), "--data", tiny_tsv, "--out", str(out)])
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "synth":
+        cfg.write_text(bad)
+    else:
+        cfg.write_text("epochs=2\ndim=4\nlayers=1\n" + bad)
+        argv += ["--data", tiny_tsv]
+    rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and key in err
@@ -186,6 +199,22 @@ def test_failed_writes_keep_earlier_artifacts(tmp_path, tiny_tsv, monkeypatch, c
     assert {name: read(out / name) for name in names} == before
     assert sorted(os.listdir(out)) == sorted(names)
 
+    prep = tmp_path / "prep"
+    assert main(["prepare", "--data", tiny_tsv, "--out", str(prep)]) == 0
+    names = ("train.tsv", "test.tsv", "stats.txt")
+    before = {name: read(prep / name) for name in names}
+
+    def split_fails(log):
+        split = split_leave_latest(log)
+        split.test = split.test[:1] + [None]  # fails after test.tsv's first line
+        return split
+
+    monkeypatch.setattr(crossrec.cli, "split_leave_latest", split_fails)
+    with pytest.raises(AttributeError):
+        main(["prepare", "--data", tiny_tsv, "--out", str(prep)])
+    assert {name: read(prep / name) for name in names} == before
+    assert sorted(os.listdir(prep)) == sorted(names)
+
 
 def test_zero_lr_checkpoint_equals_init(tmp_path, tiny_tsv):
     out_zero = str(tmp_path / "zero")
@@ -273,6 +302,15 @@ def test_gradcheck_two_seeds_pass(capsys):
     assert capsys.readouterr().out.count("PASS") == 2
 
 
+def test_gradcheck_rejects_more_edges_than_pairs(tmp_path, capsys):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("num_users=1\nitems_per_domain=1,1\nnum_edges=5\n")
+    rc = main(["gradcheck", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: num_edges=5 exceeds the 2 distinct (user, item, domain) pairs\n"
+
+
 def test_gradcheck_negative_control_fails(tmp_path, capsys):
     cfg = tmp_path / "g.cfg"
     cfg.write_text("corrupt_param=user_emb\n")
@@ -328,6 +366,11 @@ def test_bench_appends_results(tmp_path, capsys):
     lines = open(os.path.join(out, "results.tsv")).read().strip().splitlines()
     assert lines[0].startswith("mode\tseed")
     assert len(lines) == 5  # header + 2 modes x 2 domains
+    assert capsys.readouterr().out.splitlines() == lines[1:]
+    rows = [line.split("\t") for line in lines[1:]]
+    assert {r[0] for r in rows} == {"mf", "full"}
+    assert all(len(r) == 6 for r in rows)
+    assert all(0.0 <= float(r[4]) <= 1.0 and 0.0 <= float(r[5]) <= 1.0 for r in rows)
     rc = main(["bench", "--config", str(bench_cfg), "--data", data, "--out", out])
     assert rc == 0
     lines = open(os.path.join(out, "results.tsv")).read().strip().splitlines()

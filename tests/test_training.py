@@ -19,7 +19,6 @@ from crossrec.training import (
     bpr_loss,
     bpr_loss_grad,
     compute_loss_and_grads,
-    domain_loss,
     fit,
     format_epoch_line,
     gradient_check,
@@ -117,15 +116,6 @@ def test_bpr_grad_matches_difference_quotient():
     for z in (-3.0, -0.5, 0.0, 1.2, 8.0):
         numeric = (float(bpr_loss(z + h, 0.0)) - float(bpr_loss(z - h, 0.0))) / (2 * h)
         assert abs(float(bpr_loss_grad(z, 0.0)) - numeric) < 1e-8
-
-
-def test_domain_loss_closed_forms():
-    assert abs(domain_loss([1.0], [1.0]) - LN2) < 1e-12
-    params = {"w": np.array([[2.0]])}
-    got = domain_loss([0.0], [0.0], params=params, lambda_reg=1.0)
-    assert abs(got - (LN2 + 4.0)) < 1e-12
-    with pytest.raises(ValueError, match="empty"):
-        domain_loss([], [])
 
 
 def test_total_loss_matches_independent_recomputation():
@@ -280,6 +270,11 @@ def test_train_config_validation():
                 dict(num_eval_negatives=0)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+    for value in (math.nan, math.inf):
+        for bad in (dict(lr=value), dict(lambda_reg=value), dict(eps=value),
+                    dict(domain_weights=[value, 1.0])):
+            with pytest.raises(ValueError, match="finite"):
+                TrainConfig(**bad)
     TrainConfig(beta1=0.0, beta2=0.0, triplets_per_epoch=None, eval_every=1,
                 num_eval_negatives=1, layers=1)
 
