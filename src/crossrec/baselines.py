@@ -61,6 +61,10 @@ class MfModel:
             shapes.append((f"item_emb/d{d}", (g.num_items_per_domain[d], self.dim)))
         return shapes
 
+    def delta_shapes(self) -> list:
+        """backward keeps no intermediate gradients."""
+        return []
+
     def _validate(self, params):
         expected = self.param_shapes()
         if list(params.keys()) != [n for n, _ in expected]:
@@ -76,13 +80,19 @@ class MfModel:
             acts.o_i.append(self.params[f"item_emb/d{d}"])
         return acts
 
-    def backward(self, acts: Activations, do_u: list, do_i: list) -> dict:
-        grads = {}
+    def backward(self, acts: Activations, do_u: list, do_i: list, grads: dict = None,
+                 scratch=None) -> dict:
+        """The output gradients are the table gradients. grads, when
+        given, holds zeroed buffers they are added into; scratch is
+        unused (nothing lies between the tables and the outputs)."""
         for d in range(self.graph.num_domains):
             if do_u[d].shape != acts.o_u[d].shape or do_i[d].shape != acts.o_i[d].shape:
                 raise ValueError(f"upstream gradient shape mismatch in domain {d}")
-            grads[f"user_emb/d{d}"] = do_u[d].copy()
-            grads[f"item_emb/d{d}"] = do_i[d].copy()
+        if grads is None:
+            grads = {name: np.zeros(shape) for name, shape in self.param_shapes()}
+        for d in range(self.graph.num_domains):
+            grads[f"user_emb/d{d}"] += do_u[d]
+            grads[f"item_emb/d{d}"] += do_i[d]
         return grads
 
     def outputs(self):
@@ -190,12 +200,16 @@ def manifest_json_subset(manifest: dict) -> dict:
 
 def random_log(rng, num_users: int, items_per_domain, num_edges: int) -> InteractionLog:
     """A random log of num_edges distinct (user, item, domain) edges,
-    timestamped in draw order; every domain gets at least one edge.
+    timestamped in draw order; every domain gets at least one edge, so
+    num_edges may not be below the number of domains.
 
     Draws one (user, item) per domain in turn, then (domain, user, item)
     triples, dropping repeats, until num_edges edges are drawn.
     """
     pairs = num_users * sum(items_per_domain)
+    if num_edges < len(items_per_domain):
+        raise ValueError(f"num_edges={num_edges} is below the {len(items_per_domain)} "
+                         "domains, each of which gets an edge")
     if num_edges > pairs:
         raise ValueError(f"num_edges={num_edges} exceeds the {pairs} distinct "
                          "(user, item, domain) pairs")

@@ -128,6 +128,8 @@ SYNTH_KEYS = config_keys(SyntheticSpec)
 GRADCHECK_KEYS = config_keys(GradcheckSpec, items_per_domain=_ints, mode=_mode,
                              corrupt_param=str)
 
+# eval draws its negatives as fit's validation does
+EVAL_KEYS = {k: TRAIN_KEYS[k] for k in ("num_eval_negatives", "seed")}
 BENCH_KEYS = dict(TRAIN_KEYS)
 BENCH_KEYS.update({
     "modes": lambda s: [_mode(x) for x in s.split(",")],
@@ -205,10 +207,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    kwargs, _ = _load_config(args.config, {"num_eval_negatives": int, "seed": int},
-                             seed=args.seed)
-    seed = kwargs.get("seed", 0)
-    num_negatives = kwargs.get("num_eval_negatives", 99)
+    kwargs, _ = _load_config(args.config, EVAL_KEYS, seed=args.seed)
+    seed = kwargs.get("seed", TrainConfig.seed)
+    num_negatives = kwargs.get("num_eval_negatives", TrainConfig.num_eval_negatives)
     data = _require_file(args.data, "--data")
     ckpt = _require_file(args.checkpoint, "--checkpoint")
     log = parse_log(data)

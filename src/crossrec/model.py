@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import atomic_open
 from .graph import HeteroGraph
-from .numeric import check_finite, relu, relu_backward
+from .numeric import Scratch, check_finite, relu, relu_backward
 
 # the paths of each mode, by kind; specific paths come first
 PATH_KINDS = {"full": ("spec", "shared"), "specific_only": ("spec",),
@@ -64,9 +64,11 @@ class PathCache:
     """Forward caches of one conv path: a kind over a tuple of domains.
 
     users[l] and items[l][d] are the layer-l representations (index 0
-    is the embedding). convs[l] holds what layer l's backward needs:
-    the user pre-activation, then per domain the item pre-activations,
-    the item->user neighbor sums and the user->item neighbor sums.
+    is the embedding). convs[l] holds the rest of what layer l's
+    backward needs: per domain the item->user neighbor sums and the
+    user->item neighbor sums. Each ReLU runs in place on its
+    pre-activation, since its output, positive exactly where the
+    pre-activation is, serves as the backward's gate.
     """
 
     kind: str
@@ -157,6 +159,17 @@ class DisentangledGraphModel:
             shapes.append((f"out/d{d}", (k, k)))
         return shapes
 
+    def delta_shapes(self) -> list:
+        """Shapes of the gradients backward keeps at each path's cached
+        representations, laid out like them: per path, the users' at
+        every layer, then every layer's items' per domain."""
+        g, k, L = self.graph, self.dim, self.layers
+        shapes = []
+        for _, domains in self.paths:
+            shapes += [(g.num_users, k)] * (L + 1)
+            shapes += [(g.num_items_per_domain[d], k) for _ in range(L + 1) for d in domains]
+        return shapes
+
     def _validate_params(self, params: dict) -> None:
         expected = self.param_shapes()
         names = [n for n, _ in expected]
@@ -186,13 +199,14 @@ class DisentangledGraphModel:
         z_i, sums_u, sums_i = {}, {}, {}
         for d in path.domains:
             sums_u[d] = self.graph.aggregators(d, mean).to_users.apply(x_i[d])
-            z_u = z_u + sums_u[d] @ P[w[d].iu]
+            z_u += sums_u[d] @ P[w[d].iu]
         for d in path.domains:
             sums_i[d] = self.graph.aggregators(d, mean).to_items.apply(x_u)
-            z_i[d] = x_i[d] @ P[w[d].ii] + sums_i[d] @ P[w[d].ui]
-        path.convs.append((z_u, z_i, sums_u, sums_i))
-        path.users.append(relu(z_u))
-        path.items.append({d: relu(z) for d, z in z_i.items()})
+            z_i[d] = x_i[d] @ P[w[d].ii]
+            z_i[d] += sums_i[d] @ P[w[d].ui]
+        path.convs.append((sums_u, sums_i))
+        path.users.append(relu(z_u, out=z_u))
+        path.items.append({d: relu(z, out=z) for d, z in z_i.items()})
 
     def _conv_backward(self, path: PathCache, l: int, du: list, di: list,
                        grads: dict) -> None:
@@ -202,9 +216,9 @@ class DisentangledGraphModel:
         scatter through the transposed CSR."""
         P, mean = self.params, self.mean_aggregation
         w = {d: self.weight_names(path.kind, l, d) for d in path.domains}
-        z_u, z_i, sums_u, sums_i = path.convs[l]
+        sums_u, sums_i = path.convs[l]
         uu = w[path.domains[0]].uu
-        dz_u = relu_backward(z_u, du[l + 1])
+        dz_u = relu_backward(path.users[l + 1], du[l + 1])
         grads[uu] += path.users[l].T @ dz_u
         du[l] += dz_u @ P[uu].T
         for d in path.domains:
@@ -212,7 +226,7 @@ class DisentangledGraphModel:
             di[l][d] += self.graph.aggregators(d, mean).to_users.apply_transpose(
                 dz_u @ P[w[d].iu].T)
         for d in path.domains:
-            dz_i = relu_backward(z_i[d], di[l + 1][d])
+            dz_i = relu_backward(path.items[l + 1][d], di[l + 1][d])
             grads[w[d].ii] += path.items[l][d].T @ dz_i
             di[l][d] += dz_i @ P[w[d].ii].T
             grads[w[d].ui] += sums_i[d].T @ dz_i
@@ -252,12 +266,18 @@ class DisentangledGraphModel:
 
     # -- backward ----------------------------------------------------------
 
-    def backward(self, acts: Activations, do_u: list, do_i: list) -> dict:
+    def backward(self, acts: Activations, do_u: list, do_i: list, grads: dict = None,
+                 scratch: Scratch = None) -> dict:
         """Exact gradients of a scalar objective w.r.t. every parameter.
 
         do_u[d]/do_i[d] are the objective's gradients at the fused
         outputs. Within a layer, gradients accumulate path by path in
         path order and, within a path, domain by domain ascending.
+
+        grads, when given, holds one zeroed buffer per parameter name
+        that the gradients are added into; without it they go into new
+        arrays. The gradients at each path's cached representations are
+        taken from ``scratch`` (a new one without it) and zeroed.
         """
         P, L, D = self.params, self.layers, self.graph.num_domains
         if len(acts.o_u) != D or len(acts.paths) != len(self.paths):
@@ -266,10 +286,14 @@ class DisentangledGraphModel:
             if do_u[d].shape != acts.o_u[d].shape or do_i[d].shape != acts.o_i[d].shape:
                 raise ValueError(f"upstream gradient shape mismatch in domain {d}")
 
-        grads = {name: np.zeros(shape) for name, shape in self.param_shapes()}
-        # gradients at each path's cached representations, laid out like them
-        deltas = [([np.zeros_like(x) for x in p.users],
-                   [{d: np.zeros_like(x) for d, x in items.items()} for items in p.items])
+        if grads is None:
+            grads = {name: np.zeros(shape) for name, shape in self.param_shapes()}
+        taken = (scratch or Scratch()).take(*self.delta_shapes())
+        for x in taken:
+            x.fill(0.0)
+        taken = iter(taken)
+        deltas = [([next(taken) for _ in p.users],
+                   [{d: next(taken) for d in items} for items in p.items])
                   for p in acts.paths]
 
         for d in range(D):

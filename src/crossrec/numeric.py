@@ -6,6 +6,7 @@ runs on the same machine produce bitwise-identical results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,10 @@ def as_matrix(a, name: str = "matrix") -> Array:
     return a
 
 
-def relu(x) -> Array:
-    """Elementwise max(0, x)."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+def relu(x, out=None) -> Array:
+    """Elementwise max(0, x), into ``out`` when given (``x`` itself
+    works in place)."""
+    return np.maximum(np.asarray(x, dtype=np.float64), 0.0, out=out)
 
 
 def relu_backward(x, upstream) -> Array:
@@ -115,9 +117,59 @@ def scatter_rows(index, rows, num_rows: int) -> Array:
     return incidence @ rows
 
 
+def packed_views(data: Array, shapes) -> list:
+    """Views of the 1-D ``data`` with the given shapes, packed from its
+    start in order."""
+    views, pos = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(data[pos:pos + size].reshape(shape))
+        pos += size
+    return views
+
+
+class FlatArrays:
+    """Named float64 arrays packed into one contiguous zeroed vector.
+
+    ``views[name]`` is a view of ``data`` with the given shape, laid out
+    in the order of ``shapes``, so one call on ``data`` acts on every
+    array at once.
+    """
+
+    def __init__(self, shapes):
+        self.data = np.zeros(sum(math.prod(shape) for _, shape in shapes))
+        self.views = dict(zip([name for name, _ in shapes],
+                              packed_views(self.data, [shape for _, shape in shapes])))
+
+
+class Scratch:
+    """A float64 buffer lent out as packed arrays.
+
+    Every ``take`` packs its arrays from the start of the buffer, which
+    it grows when too small, so they overlap what earlier takes
+    returned: a caller may use what it took only until the next take.
+    Phases of a step that never overlap thus share one block of memory.
+    The buffer starts sized for ``shapes``.
+    """
+
+    def __init__(self, *shapes):
+        self.data = np.empty(sum(math.prod(shape) for shape in shapes))
+
+    def take(self, *shapes) -> list:
+        size = sum(math.prod(shape) for shape in shapes)
+        if size > self.data.size:
+            self.data = np.empty(size)
+        return packed_views(self.data, shapes)
+
+
+# entries per pass of adam_step: its two scratch rows stay in cache
+ADAM_CHUNK = 16384
+
+
 @dataclass
 class AdamState:
-    """Adam optimizer state for a single parameter matrix."""
+    """Adam optimizer state for one parameter array (a matrix, or a
+    flat vector holding many)."""
 
     m: Array
     v: Array
@@ -126,30 +178,67 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: Array = None  # adam_step's two chunk rows, made on first use
 
     @classmethod
     def for_param(cls, param, lr: float = 1e-3, beta1: float = 0.9,
                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros_like(param, dtype=np.float64),
-                   v=np.zeros_like(param, dtype=np.float64),
+        shape = np.shape(param)
+        return cls(m=np.zeros(shape), v=np.zeros(shape),
                    lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(param, grad, state: AdamState) -> Array:
-    """One Adam update; returns the new parameter value, mutates ``state``."""
+def adam_step(param, grad, state: AdamState, out=None) -> Array:
+    """One Adam update; mutates ``state`` and returns the new parameter.
+
+    The new value goes into ``out`` when given (``param`` itself for an
+    update in place), else into a new array. The moments update in
+    place, chunk by chunk through the state's one scratch block, so a
+    step allocates nothing of the parameter's size. Each entry gets the
+    operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    param - lr*(m/c1) / (sqrt(v/c2) + eps) in that order, so results do
+    not depend on the chunking.
+    """
     param = np.asarray(param, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != param.shape:
         raise ValueError(f"grad shape {grad.shape} does not match param {param.shape}")
     if state.m.shape != param.shape:
         raise ValueError("optimizer state shape does not match parameter")
-    check_finite(grad, "grad")
+    if out is None:
+        out = np.empty(param.shape)
+    elif out.shape != param.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float64 array shaped like param")
+    # a finite sum proves every entry finite, without a boolean temporary
+    if not math.isfinite(grad.sum()):
+        check_finite(grad, "grad")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (grad * grad)
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    p, g, o = param.reshape(-1), grad.reshape(-1), out.reshape(-1)
+    m, v = state.m.reshape(-1), state.v.reshape(-1)
+    if state.scratch is None:
+        state.scratch = np.empty((2, min(ADAM_CHUNK, p.size)))
+    for lo in range(0, p.size, ADAM_CHUNK):
+        hi = min(lo + ADAM_CHUNK, p.size)
+        a, b = state.scratch[0, :hi - lo], state.scratch[1, :hi - lo]
+        gc, mc, vc = g[lo:hi], m[lo:hi], v[lo:hi]
+        mc *= b1
+        np.multiply(gc, 1.0 - b1, out=a)
+        mc += a
+        vc *= b2
+        np.multiply(gc, gc, out=a)
+        a *= 1.0 - b2
+        vc += a
+        np.divide(vc, c2, out=a)
+        np.sqrt(a, out=a)
+        a += eps
+        np.divide(mc, c1, out=b)
+        b *= lr
+        b /= a
+        np.subtract(p[lo:hi], b, out=o[lo:hi])
+    return out
 
 
 def finite_diff_grad(f, param, h: float = 1e-5) -> Array:

@@ -2,9 +2,12 @@
 regularization, per-domain weighting, and Adam updates.
 
 Every model trained here exposes the same interface (params dict,
-forward() -> activations with o_u/o_i, backward(acts, do_u, do_i) ->
-grads), so the graph model, its ablations, and the factorization
-baseline all run through this exact code path.
+forward() -> activations with o_u/o_i, backward(acts, do_u, do_i,
+grads, scratch) -> grads, delta_shapes()), so the graph model, its
+ablations, and the factorization baseline all run through this exact
+code path. A Trainer keeps the parameters, gradients and Adam moments
+in flat vectors and reuses one step workspace, so a step allocates
+little beyond the forward pass's caches.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from .data import SplitResult, split_leave_latest
 from .evaluation import build_eval_tasks, evaluate
 from .graph import HeteroGraph, build_graph
 from .model import DisentangledGraphModel
-from .numeric import AdamState, adam_step, finite_diff_grad, scatter_rows
+from .numeric import (AdamState, FlatArrays, Scratch, adam_step, finite_diff_grad,
+                      scatter_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -158,37 +162,82 @@ def bpr_loss_grad(x_pos, x_neg) -> np.ndarray:
     return -expit(-z)
 
 
-def bpr_domain_step(o_u, o_i, batch: TripletBatch, beta: float):
+def _gather(table, index, out):
+    """out[k] = table[index[k]]. np.take writes straight into ``out``
+    only in clip mode, which would hide a bad index, so the range is
+    checked first."""
+    if len(index) and (index.min() < 0 or index.max() >= len(table)):
+        raise ValueError(f"row index out of range [0, {len(table)})")
+    return np.take(table, index, axis=0, out=out, mode="clip")
+
+
+def bpr_domain_step(o_u, o_i, batch: TripletBatch, beta: float, scratch: Scratch = None):
     """Fused BPR step of one domain on its output tables.
 
     Gathers each operand once, scores both sides, and scatters the
     gradient of beta * mean BPR back to the tables. Returns (x_pos,
-    x_neg, do_u, do_i).
+    x_neg, do_u, do_i), all new arrays. The users' rows and a (2n, k)
+    block are taken from ``scratch`` (a new one without it): the block
+    holds the positives' and negatives' rows, then the item gradient
+    rows in the same halves.
     """
-    u_rows = o_u[batch.users]
-    pos_rows = o_i[batch.pos_items]
-    neg_rows = o_i[batch.neg_items]
+    n, k = len(batch), o_u.shape[1]
+    u_rows, block = (scratch or Scratch()).take((n, k), (2 * n, k))
+    top, bottom = block[:n], block[n:]
+    _gather(o_u, batch.users, u_rows)
+    pos_rows = _gather(o_i, batch.pos_items, top)
+    neg_rows = _gather(o_i, batch.neg_items, bottom)
     x_pos = np.einsum("ij,ij->i", u_rows, pos_rows)
     x_neg = np.einsum("ij,ij->i", u_rows, neg_rows)
     # d(beta * mean BPR)/d(z_k) for each triplet
-    dz = (beta / len(batch) * bpr_loss_grad(x_pos, x_neg))[:, None]
-    do_u = scatter_rows(batch.users, dz * (pos_rows - neg_rows), len(o_u))
+    dz = (beta / n * bpr_loss_grad(x_pos, x_neg))[:, None]
+    np.subtract(pos_rows, neg_rows, out=top)
+    top *= dz
+    do_u = scatter_rows(batch.users, top, len(o_u))
     # positives before negatives: np.add.at's order into every item row
-    g_i = dz * u_rows
-    do_i = scatter_rows(np.concatenate([batch.pos_items, batch.neg_items]),
-                        np.concatenate([g_i, -g_i]), len(o_i))
+    np.multiply(dz, u_rows, out=top)
+    np.negative(top, out=bottom)
+    do_i = scatter_rows(np.concatenate([batch.pos_items, batch.neg_items]), block, len(o_i))
     return x_pos, x_neg, do_u, do_i
 
 
+class StepWorkspace:
+    """The buffers one training step writes into.
+
+    grads packs one gradient array per parameter into a single vector
+    (param_shapes() order). scratch serves the BPR step's rows and then
+    the backward pass's deltas, which are never live at once, so they
+    share its memory; it starts sized for the deltas, so it grows only
+    for a BPR batch that needs more. params is the flat vector the
+    model's parameters are views of, when they are (a Trainer's);
+    without it the L2 term reads a packed copy.
+    """
+
+    def __init__(self, model, params: np.ndarray = None):
+        self.grads = FlatArrays(model.param_shapes())
+        self.params = params
+        self.scratch = Scratch(*model.delta_shapes())
+
+    def param_vector(self, model) -> np.ndarray:
+        if self.params is not None:
+            return self.params
+        return np.concatenate([p.ravel() for p in model.params.values()])
+
+
 def compute_loss_and_grads(model, batches: dict, lambda_reg: float,
-                           betas: list, reg_per_domain: bool = False):
+                           betas: list, reg_per_domain: bool = False,
+                           workspace: StepWorkspace = None):
     """Total weighted loss and gradients for one step.
 
     batches maps domain_id -> TripletBatch. Returns (total_loss,
     per-domain mean BPR dict, grads dict). The L2 penalty enters the
     total once; with reg_per_domain it is scaled by sum(beta_d) instead,
-    matching a per-domain reading of the objective.
+    matching a per-domain reading of the objective. The gradients are
+    views into ``workspace``: a Trainer passes its own, which the next
+    step overwrites; without one each call makes a new workspace, so
+    the gradients it returns are never overwritten.
     """
+    ws = workspace if workspace is not None else StepWorkspace(model)
     acts = model.forward()
     domain_losses = {}
     do_u, do_i = {}, {}  # output gradients of the domains with a batch
@@ -198,20 +247,21 @@ def compute_loss_and_grads(model, batches: dict, lambda_reg: float,
         if len(batch) == 0:
             raise ValueError(f"empty triplet batch for domain {d}")
         x_pos, x_neg, do_u[d], do_i[d] = bpr_domain_step(acts.o_u[d], acts.o_i[d],
-                                                         batch, betas[d])
+                                                         batch, betas[d], ws.scratch)
         mean_bpr = float(np.mean(bpr_loss(x_pos, x_neg)))
         domain_losses[d] = mean_bpr
         total += betas[d] * mean_bpr
     if not np.isfinite(total):
         raise RuntimeError(f"non-finite loss: total={total}, per-domain={domain_losses}; "
                            "check inputs or lower the learning rate")
+    ws.grads.data.fill(0.0)
     grads = model.backward(acts, [do_u.get(d, np.zeros_like(o)) for d, o in enumerate(acts.o_u)],
-                           [do_i.get(d, np.zeros_like(o)) for d, o in enumerate(acts.o_i)])
+                           [do_i.get(d, np.zeros_like(o)) for d, o in enumerate(acts.o_i)],
+                           grads=ws.grads.views, scratch=ws.scratch)
     if lambda_reg:
         reg_scale = lambda_reg * (sum(betas[d] for d in batches) if reg_per_domain else 1.0)
         total += reg_scale * float(sum(np.sum(p * p) for p in model.params.values()))
-        for name, param in model.params.items():
-            grads[name] += 2.0 * reg_scale * param
+        ws.grads.data += 2.0 * reg_scale * ws.param_vector(model)
     return total, domain_losses, grads
 
 
@@ -234,18 +284,29 @@ def format_epoch_line(report: EpochReport, num_domains: int) -> str:
 
 
 class Trainer:
-    """Owns optimizer state and the per-domain sampling streams."""
+    """Owns the parameters' flat vector, the optimizer state, the step's
+    buffers and the per-domain sampling streams.
+
+    The model's parameters are copied into one contiguous vector, and
+    model.params[name] becomes a view of it, so one Adam call updates
+    them all in place. The gradients and both Adam moments share that
+    layout. Replacing a model.params entry detaches it from the vector,
+    so train_epoch refuses to step after that; write into the array
+    instead.
+    """
 
     def __init__(self, model, config: TrainConfig):
         self.model = model
         self.config = config
         self.graph = model.graph
         self.betas = resolve_domain_weights(self.graph, config.domain_weights)
-        self.states = {
-            name: AdamState.for_param(p, lr=config.lr, beta1=config.beta1,
-                                      beta2=config.beta2, eps=config.eps)
-            for name, p in model.params.items()
-        }
+        self.params = FlatArrays(model.param_shapes())
+        for name, view in self.params.views.items():
+            view[...] = model.params[name]
+        model.params.update(self.params.views)
+        self.adam = AdamState.for_param(self.params.data, lr=config.lr, beta1=config.beta1,
+                                        beta2=config.beta2, eps=config.eps)
+        self.workspace = StepWorkspace(model, self.params.data)
         self.rngs = [np.random.default_rng([config.seed, TRIPLET_STREAM, d])
                      for d in range(self.graph.num_domains)]
         self.epoch = 0
@@ -257,19 +318,24 @@ class Trainer:
             batches[d] = sample_triplets(self.graph, d, n, self.rngs[d])
         return batches
 
-    def _apply_step(self, grads: dict) -> None:
-        # canonical parameter order keeps updates bitwise reproducible
-        for name, _ in self.model.param_shapes():
-            self.model.params[name] = adam_step(self.model.params[name],
-                                                grads[name], self.states[name])
+    def _check_params(self) -> None:
+        for name, view in self.params.views.items():
+            if self.model.params.get(name) is not view:
+                raise RuntimeError(
+                    f"model.params[{name!r}] was replaced by an array outside the "
+                    f"trainer's parameter vector; assign into model.params[{name!r}][...] "
+                    "instead")
 
     def train_epoch(self) -> EpochReport:
         t0 = time.perf_counter()
         cfg = self.config
+        self._check_params()
         batches = self._sample_all()
-        total, domain_losses, grads = compute_loss_and_grads(
-            self.model, batches, cfg.lambda_reg, self.betas, cfg.reg_per_domain)
-        self._apply_step(grads)
+        total, domain_losses, _ = compute_loss_and_grads(
+            self.model, batches, cfg.lambda_reg, self.betas, cfg.reg_per_domain,
+            self.workspace)
+        flat = self.params.data
+        adam_step(flat, self.workspace.grads.data, self.adam, out=flat)
         if not np.isfinite(total):
             raise RuntimeError(
                 f"non-finite loss at epoch {self.epoch}: total={total}, "
@@ -328,12 +394,11 @@ def fit(split: SplitResult, config: TrainConfig, log_stream=None) -> FitResult:
             metrics = evaluate(model, val_tasks)
             mean_ndcg = float(np.mean([m.ndcg_at_10 for m in metrics])) if metrics else 0.0
             if best is None or mean_ndcg > best[0]:
-                best = (mean_ndcg, report.epoch,
-                        {k: v.copy() for k, v in model.params.items()})
+                best = (mean_ndcg, report.epoch, trainer.params.data.copy())
     best_epoch = None
     if best is not None:
         best_epoch = best[1]
-        model.params.update(best[2])
+        trainer.params.data[...] = best[2]
     return FitResult(model=model, graph=graph, reports=reports, best_epoch=best_epoch)
 
 

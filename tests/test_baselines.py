@@ -246,3 +246,9 @@ def test_random_log_fills_every_pair_and_rejects_more():
     assert len(log.interactions) == 6
     with pytest.raises(ValueError, match="num_edges=7 exceeds the 6 distinct"):
         random_log(np.random.default_rng(0), 2, (2, 1), 7)
+
+
+def test_random_log_rejects_fewer_edges_than_domains():
+    assert len(random_log(np.random.default_rng(0), 3, (2, 2, 2), 3).interactions) == 3
+    with pytest.raises(ValueError, match="num_edges=1 is below the 3 domains"):
+        random_log(np.random.default_rng(0), 3, (2, 2, 2), 1)

@@ -311,6 +311,16 @@ def test_gradcheck_rejects_more_edges_than_pairs(tmp_path, capsys):
     assert err == "error: num_edges=5 exceeds the 2 distinct (user, item, domain) pairs\n"
 
 
+def test_gradcheck_rejects_fewer_edges_than_domains(tmp_path, capsys):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("num_users=3\nitems_per_domain=2,2,2\nnum_edges=1\n")
+    rc = main(["gradcheck", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: num_edges=1 is below the 3 domains, each of which gets an edge\n"
+
+
 def test_gradcheck_negative_control_fails(tmp_path, capsys):
     cfg = tmp_path / "g.cfg"
     cfg.write_text("corrupt_param=user_emb\n")

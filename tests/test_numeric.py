@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from crossrec.numeric import (
+    ADAM_CHUNK,
     AdamState,
     CsrAggregator,
+    FlatArrays,
+    Scratch,
     adam_step,
     as_matrix,
     check_finite,
@@ -208,6 +211,54 @@ def test_adam_rejects_shape_mismatch_and_nonfinite():
         adam_step(param, np.zeros((2, 3)), state)
     with pytest.raises(ValueError):
         adam_step(param, np.full((2, 2), np.nan), state)
+
+
+def test_adam_in_place_over_chunks_is_bitwise_the_allocating_form():
+    # several chunks plus a partial one, updated in place through one
+    # flat vector, against the expression form on a copy
+    rng = np.random.default_rng(8)
+    param = rng.standard_normal(2 * ADAM_CHUNK + 123)
+    want = param.copy()
+    state = AdamState.for_param(param, lr=0.01)
+    m = np.zeros_like(param)
+    v = np.zeros_like(param)
+    for t in range(1, 4):
+        grad = rng.standard_normal(param.shape)
+        assert adam_step(param, grad, state, out=param) is param
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * (grad * grad)
+        want = want - 0.01 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+        assert np.array_equal(param, want)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+    # a non-finite entry in the last chunk is refused before anything moves
+    grad[-1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        adam_step(param, grad, state, out=param)
+    assert state.t == 3 and np.array_equal(param, want) and np.array_equal(state.m, m)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        adam_step(param, grad, state, out=np.empty(param.shape, dtype=np.float32))
+
+
+def test_flat_arrays_are_views_in_order():
+    flat = FlatArrays([("a", (2, 3)), ("b", (4,)), ("c", (1, 2))])
+    assert flat.data.shape == (12,) and not flat.data.any()
+    flat.views["b"][:] = 7.0
+    flat.views["c"][0, 1] = 9.0
+    assert list(flat.data) == [0.0] * 6 + [7.0] * 4 + [0.0, 9.0]
+    assert all(np.shares_memory(v, flat.data) for v in flat.views.values())
+
+
+def test_scratch_takes_overlap_and_grow():
+    scratch = Scratch((2, 3))
+    a, b = scratch.take((2, 2), (2,))
+    assert scratch.data.size == 6
+    assert np.shares_memory(a, scratch.data) and np.shares_memory(b, scratch.data)
+    assert not np.shares_memory(a, b)
+    (c,) = scratch.take((3,))
+    assert np.shares_memory(c, a)  # a later take reuses the same memory
+    (d,) = scratch.take((5, 2))
+    assert scratch.data.size == 10 and d.shape == (5, 2)
+    assert not np.shares_memory(d, a)
 
 
 def test_finite_diff_on_quadratic():

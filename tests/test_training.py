@@ -9,9 +9,10 @@ import pytest
 
 from crossrec.data import split_leave_latest
 from crossrec.graph import build_graph
-from crossrec.model import DisentangledGraphModel, load_checkpoint, save_checkpoint
+from crossrec.model import MODES, DisentangledGraphModel, load_checkpoint, save_checkpoint
 from crossrec.numeric import AdamState, adam_step
 from crossrec.training import (
+    TRIPLET_STREAM,
     EpochReport,
     TrainConfig,
     Trainer,
@@ -190,6 +191,107 @@ def test_fused_step_is_bitwise_add_at_reference(mode):
     empty = np.zeros(0, dtype=np.int64)
     with pytest.raises(ValueError, match="empty triplet batch for domain 1"):
         compute_loss_and_grads(model, {1: TripletBatch(1, empty, empty, empty)}, 0.0, [0.5, 0.5])
+
+
+def allocating_adam_step(param, grad, state):
+    """Adam as written before the flat buffers: new arrays for the
+    moments and the result."""
+    state.t += 1
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (grad * grad)
+    m_hat = state.m / (1.0 - state.beta1 ** state.t)
+    v_hat = state.v / (1.0 - state.beta2 ** state.t)
+    return param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def reference_epochs(graph, config):
+    """Trainer's epochs rebuilt from allocating parts: the same sampling
+    streams, the np.add.at loss side with a backward into new arrays,
+    and one Adam call per parameter. Yields the parameters per epoch."""
+    model = make_model(graph, config)
+    betas = resolve_domain_weights(graph, config.domain_weights)
+    states = {name: AdamState.for_param(p, lr=config.lr, beta1=config.beta1,
+                                        beta2=config.beta2, eps=config.eps)
+              for name, p in model.params.items()}
+    rngs = [np.random.default_rng([config.seed, TRIPLET_STREAM, d])
+            for d in range(graph.num_domains)]
+    for _ in range(config.epochs):
+        batches = {d: sample_triplets(graph, d, config.triplets_per_epoch or graph.num_edges(d),
+                                      rngs[d])
+                   for d in range(graph.num_domains)}
+        _, _, grads = add_at_loss_and_grads(model, batches, config.lambda_reg, betas)
+        for name, _ in model.param_shapes():
+            model.params[name] = allocating_adam_step(model.params[name], grads[name],
+                                                      states[name])
+        yield model.params
+
+
+def drop_graph():
+    """Domain 0 has 2 items and users 0-3 took both, so their triplets
+    are dropped and its batch comes out below its edge count; domains 1
+    and 2 have more edges, so the step buffers grow past domain 0's."""
+    rng = np.random.default_rng(31)
+    edges = [(u, i, 0) for u in range(4) for i in range(2)] + [(u, u % 2, 0) for u in range(4, 8)]
+    edges += [(int(rng.integers(10)), int(rng.integers(9)), 1) for _ in range(40)]
+    edges += [(int(rng.integers(10)), int(rng.integers(12)), 2) for _ in range(60)]
+    return build_graph(make_log(edges, 10, [2, 9, 12]))
+
+
+VARIANTS = [(mode, tie, mean, layers)
+            for mode in MODES for tie in ((False, True) if mode == "full" else (False,))
+            for mean in (False, True) for layers in (1, 2, 3)] + [("mf", False, False, 1)]
+# None: one pass over each domain's edges; 100: more triplets than any domain has edges
+CASES = [v + (None,) for v in VARIANTS] + [("full", True, True, 2, 100), ("mf", False, False, 1, 100)]
+
+
+@pytest.mark.parametrize("mode,tie,mean,layers,triplets", CASES)
+def test_trainer_is_bitwise_allocating_reference(mode, tie, mean, layers, triplets):
+    graph = drop_graph()
+    config = TrainConfig(epochs=4, dim=5, layers=layers, lr=0.01, lambda_reg=1e-3,
+                         mode=mode, tie_relation_weights=tie, mean_aggregation=mean,
+                         seed=7, triplets_per_epoch=triplets)
+    trainer = Trainer(make_model(graph, config), config)
+    for epoch, want in enumerate(reference_epochs(graph, config)):
+        trainer.train_epoch()
+        assert trainer.model.params.keys() == want.keys()
+        for name, p in want.items():
+            assert np.array_equal(trainer.model.params[name], p), (epoch, name)
+    # domain 0's batches lost triplets and used a prefix of the scratch;
+    # 100 triplets a domain grew it past the backward's need
+    scratch = trainer.workspace.scratch.data.size
+    first = sample_triplets(graph, 0, triplets or graph.num_edges(0),
+                            np.random.default_rng([7, TRIPLET_STREAM, 0]))
+    assert len(first) < (triplets or graph.num_edges(0))
+    assert 3 * len(first) * config.dim < scratch
+    if triplets is not None:
+        deltas = sum(math.prod(s) for s in trainer.model.delta_shapes())
+        assert scratch == 3 * triplets * config.dim > deltas
+        assert triplets > max(graph.num_edges(d) for d in range(3))
+
+
+def test_gradients_without_workspace_never_share_memory():
+    graph, _, model = small_setup(seed=18)
+    batches = {d: sample_triplets(graph, d, 10, np.random.default_rng([18, d]))
+               for d in range(2)}
+    _, _, first = compute_loss_and_grads(model, batches, 1e-3, [0.5, 0.5])
+    kept = {name: g.copy() for name, g in first.items()}
+    _, _, second = compute_loss_and_grads(model, batches, 1e-3, [0.5, 0.5])
+    for name in first:
+        assert not np.shares_memory(first[name], second[name]), name
+        assert np.array_equal(first[name], kept[name]), name
+
+
+def test_trainer_refuses_a_replaced_parameter():
+    graph, _, model = small_setup(seed=19)
+    trainer = Trainer(model, TrainConfig(epochs=2, dim=4, seed=1))
+    trainer.train_epoch()
+    model.params["user_emb"][0, 0] = 0.5  # writing into the view is fine
+    trainer.train_epoch()
+    assert trainer.params.data[0] == model.params["user_emb"][0, 0]
+    model.params["user_emb"] = model.params["user_emb"].copy()
+    with pytest.raises(RuntimeError, match="model.params\\['user_emb'\\] was replaced"):
+        trainer.train_epoch()
+    assert trainer.epoch == 2
 
 
 def test_weighting_linearity():
