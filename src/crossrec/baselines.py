@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Interaction, InteractionLog
+from .data import InteractionLog, interaction_records
 from .graph import HeteroGraph
 from .model import Activations
 
@@ -151,29 +151,27 @@ def generate_synthetic(spec: SyntheticSpec):
     if spec.matched_item_latents:
         item_latents = [item_latents[0]] * D
 
-    interactions = []
-    degree = [np.zeros(I, dtype=np.int64) for _ in range(D)]
+    cols, degree = [], []
     for d in range(D):
         logits = prefs[d] @ item_latents[d].T / spec.temperature
         gumbel = rng.gumbel(size=(U, I))
         picks = np.argpartition(-(logits + gumbel), k - 1, axis=1)[:, :k]
-        for u in range(U):
-            stamps = rng.permutation(k)
-            for slot, item in enumerate(picks[u]):
-                interactions.append((u, int(item), d, int(stamps[slot])))
-                degree[d][item] += 1
+        # permuted shuffles row after row, drawing as rng.permutation(k)
+        # would once per user in user order
+        stamps = rng.permuted(np.tile(np.arange(k), (U, 1)), axis=1)
+        cols.append((np.repeat(np.arange(U), k), picks.ravel(), np.full(U * k, d),
+                     stamps.ravel()))
+        degree.append(np.bincount(picks.ravel(), minlength=I))
 
-    if not interactions:
-        raise ValueError("degenerate spec produced no interactions")
-
-    log = _numbered_log([Interaction(*t) for t in interactions], U, [I] * D)
+    log = _numbered_log(interaction_records(*(np.concatenate(c) for c in zip(*cols))),
+                        U, [I] * D)
     manifest = {
         "num_users": U,
         "num_domains": D,
         "items_per_domain": I,
         "interactions_per_user": k,
         "shared_signal": s,
-        "num_interactions": len(interactions),
+        "num_interactions": len(log.interactions),
         "item_degree_histogram": [
             {int(v): int(c) for v, c in zip(*np.unique(degree[d], return_counts=True))}
             for d in range(D)
@@ -220,14 +218,16 @@ def random_log(rng, num_users: int, items_per_domain, num_edges: int) -> Interac
         d = int(rng.integers(len(items_per_domain)))
         edges.setdefault((int(rng.integers(num_users)),
                           int(rng.integers(items_per_domain[d])), d))
-    return _numbered_log([Interaction(u, i, d, k) for k, (u, i, d) in enumerate(edges)],
+    users, items, domains = np.array(list(edges), dtype=np.int64).reshape(-1, 3).T
+    return _numbered_log(interaction_records(users, items, domains, np.arange(len(users))),
                          num_users, items_per_domain)
 
 
-def _numbered_log(interactions, num_users: int, items_per_domain) -> InteractionLog:
-    """A log over users u0.., items i0.. per domain and domains d0.."""
+def _numbered_log(recs, num_users: int, items_per_domain) -> InteractionLog:
+    """A log of ``recs`` over users u0.., items i0.. per domain and
+    domains d0.."""
     return InteractionLog(
-        interactions=interactions,
+        interactions=recs,
         user_names=[f"u{n}" for n in range(num_users)],
         item_names=[[f"i{n}" for n in range(c)] for c in items_per_domain],
         domain_names=[f"d{n}" for n in range(len(items_per_domain))],

@@ -217,7 +217,7 @@ def cmd_eval(args) -> int:
     graph = build_graph(split.train)
     model = load_checkpoint(ckpt, graph)
     tasks = build_eval_tasks(split, graph, seed=seed, num_negatives=num_negatives)
-    if not tasks:
+    if not len(tasks):
         raise ValueError("no eval tasks could be built (candidate pools too small?)")
     reports = evaluate(model, tasks)
     print(format_metric_table(reports, domain_names=log.domain_names))

@@ -4,6 +4,10 @@ dataset statistics.
 Input format is tab-separated ``user<TAB>item<TAB>domain<TAB>timestamp``
 lines; ``#`` starts a comment line and blank lines are skipped. Users are
 shared across domains, items live in per-domain id spaces.
+
+A log's interactions and the split's test side are record arrays
+(``np.recarray`` of ``RECORD_DTYPE``): ``recs.user_id`` is a column,
+``recs[k].user_id`` one record's field.
 """
 
 from __future__ import annotations
@@ -11,31 +15,33 @@ from __future__ import annotations
 import contextlib
 import os
 import secrets
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+RECORD_FIELDS = ("user_id", "item_id", "domain_id", "timestamp")
+RECORD_DTYPE = np.dtype([(name, np.int64) for name in RECORD_FIELDS])
+_INT64 = np.iinfo(np.int64)
 
-@dataclass
-class Interaction:
-    user_id: int
-    item_id: int
-    domain_id: int
-    timestamp: int
+
+def interaction_records(users, items, domains, stamps) -> np.recarray:
+    """Interaction records from four parallel integer columns."""
+    return np.rec.fromarrays([users, items, domains, stamps], dtype=RECORD_DTYPE)
 
 
 @dataclass
 class InteractionLog:
-    """Deduplicated interactions with dense contiguous ids.
+    """Deduplicated interaction records with dense contiguous ids.
 
     ``item_names[d]`` maps per-domain item ids back to raw tokens;
     a raw item token appearing in two domains gets two independent ids.
     """
 
-    interactions: list = field(default_factory=list)
-    user_names: list = field(default_factory=list)
-    item_names: list = field(default_factory=list)
-    domain_names: list = field(default_factory=list)
+    interactions: np.recarray
+    user_names: list
+    item_names: list
+    domain_names: list
 
     @property
     def num_users(self) -> int:
@@ -52,46 +58,50 @@ class InteractionLog:
 @dataclass
 class SplitResult:
     train: InteractionLog
-    test: list  # list of Interaction, sorted by (user_id, domain_id)
+    test: np.recarray  # held-out records, sorted by (user_id, domain_id)
+
+
+def _run_starts(*cols) -> np.ndarray:
+    """True at each row whose key (one value per column) differs from
+    the previous row's; sorted columns make each key one run of rows."""
+    starts = np.zeros(len(cols[0]), dtype=bool)
+    starts[:1] = True
+    for col in cols:
+        starts[1:] |= col[1:] != col[:-1]
+    return starts
 
 
 def _build_log(records) -> InteractionLog:
-    """Assign first-seen dense ids and deduplicate repeated pairs.
+    """Assign first-seen dense ids and deduplicate repeated triples.
 
     ``records`` yields (user, item, domain, timestamp) tuples of raw
     tokens. A (user, item, domain) triple seen more than once collapses
     to a single interaction holding its latest timestamp, kept at the
     position of its first appearance.
     """
-    users: dict = {}
-    domains: dict = {}
-    items: list = []  # one dict per domain
-    log = InteractionLog()
-    seen: dict = {}
+    user_ids, domain_ids = {}, {}
+    item_ids = []  # one token -> id dict per domain
+    rows = array("q")  # (user, item, domain, timestamp) per record, 8 bytes each
     for user, item, domain, ts in records:
-        if domain not in domains:
-            domains[domain] = len(domains)
-            log.domain_names.append(domain)
-            items.append({})
-            log.item_names.append([])
-        d = domains[domain]
-        if user not in users:
-            users[user] = len(users)
-            log.user_names.append(user)
-        u = users[user]
-        if item not in items[d]:
-            items[d][item] = len(items[d])
-            log.item_names[d].append(item)
-        i = items[d][item]
-        key = (u, i, d)
-        if key in seen:
-            prev = log.interactions[seen[key]]
-            if ts > prev.timestamp:
-                prev.timestamp = ts
-        else:
-            seen[key] = len(log.interactions)
-            log.interactions.append(Interaction(u, i, d, ts))
-    return log
+        d = domain_ids.setdefault(domain, len(domain_ids))
+        if d == len(item_ids):
+            item_ids.append({})
+        rows.extend((user_ids.setdefault(user, len(user_ids)),
+                     item_ids[d].setdefault(item, len(item_ids[d])), d, ts))
+    users, items, domains, stamps = np.frombuffer(rows, dtype=np.int64).reshape(-1, 4).T
+
+    # the stable sort puts each triple's first appearance at its run's start
+    order = np.lexsort((items, users, domains))
+    starts = np.flatnonzero(_run_starts(domains[order], users[order], items[order]))
+    first = order[starts]
+    stamps[first] = np.maximum.reduceat(stamps[order], starts)
+    keep = np.sort(first)
+    return InteractionLog(
+        interaction_records(users[keep], items[keep], domains[keep], stamps[keep]),
+        user_names=list(user_ids),
+        item_names=[list(ids) for ids in item_ids],
+        domain_names=list(domain_ids),
+    )
 
 
 def utf8_error(path: str) -> ValueError:
@@ -149,13 +159,16 @@ def parse_log(path: str) -> InteractionLog:
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: timestamp {ts_raw!r} is not an integer") from None
+                if not _INT64.min <= ts <= _INT64.max:
+                    raise ValueError(f"{path}:{lineno}: timestamp {ts_raw!r} outside "
+                                     "the 64-bit integer range")
                 yield user, item, domain, ts
 
     try:
         log = _build_log(records())
     except UnicodeDecodeError:
         raise utf8_error(path) from None
-    if not log.interactions:
+    if not len(log.interactions):
         raise ValueError(f"{path}: no interactions found")
     return log
 
@@ -163,11 +176,11 @@ def parse_log(path: str) -> InteractionLog:
 def write_interactions_tsv(path: str, log: InteractionLog) -> None:
     """Write a log back to the TSV input format (round-trips via parse_log),
     atomically."""
+    recs = log.interactions
     with atomic_open(path) as fh:
-        for rec in log.interactions:
-            fh.write(f"{log.user_names[rec.user_id]}\t"
-                     f"{log.item_names[rec.domain_id][rec.item_id]}\t"
-                     f"{log.domain_names[rec.domain_id]}\t{rec.timestamp}\n")
+        for u, i, d, ts in zip(*(recs[name].tolist() for name in RECORD_FIELDS)):
+            fh.write(f"{log.user_names[u]}\t{log.item_names[d][i]}\t"
+                     f"{log.domain_names[d]}\t{ts}\n")
 
 
 def split_leave_latest(log: InteractionLog) -> SplitResult:
@@ -177,28 +190,17 @@ def split_leave_latest(log: InteractionLog) -> SplitResult:
     ties break toward the larger item id so the choice never depends on
     file order. Id spaces are shared between the two sides.
     """
-    groups: dict = {}
-    for pos, rec in enumerate(log.interactions):
-        groups.setdefault((rec.user_id, rec.domain_id), []).append(pos)
-
-    test_positions = set()
-    for positions in groups.values():
-        if len(positions) < 2:
-            continue
-        best = max(positions, key=lambda p: (log.interactions[p].timestamp,
-                                             log.interactions[p].item_id))
-        test_positions.add(best)
-
-    train = InteractionLog(
-        interactions=[rec for pos, rec in enumerate(log.interactions)
-                      if pos not in test_positions],
-        user_names=log.user_names,
-        item_names=log.item_names,
-        domain_names=log.domain_names,
-    )
-    test = sorted((log.interactions[p] for p in test_positions),
-                  key=lambda r: (r.user_id, r.domain_id))
-    return SplitResult(train=train, test=test)
+    recs = log.interactions
+    order = np.lexsort((recs.item_id, recs.timestamp, recs.domain_id, recs.user_id))
+    starts = _run_starts(recs.user_id[order], recs.domain_id[order])
+    # the row after a group's last starts the next group (the final row
+    # wraps round to row 0); a lone row is also its group's first, so
+    # single-record groups are never held out
+    lasts = np.roll(starts, -1)
+    held = order[lasts & ~starts]
+    is_test = np.zeros(len(recs), dtype=bool)
+    is_test[held] = True
+    return SplitResult(train=replace(log, interactions=recs[~is_test]), test=recs[held])
 
 
 @dataclass
@@ -213,18 +215,18 @@ class DomainStats:
 
 def compute_stats(log: InteractionLog) -> list:
     """Per-domain counts plus density as a percentage of the full matrix."""
+    recs = log.interactions
     stats = []
-    for d in range(log.num_domains):
-        recs = [r for r in log.interactions if r.domain_id == d]
+    for d, name in enumerate(log.domain_names):
+        users = recs.user_id[recs.domain_id == d]
         num_items = log.num_items(d)
         if num_items == 0:
-            raise ValueError(f"domain {log.domain_names[d]!r} has no items")
-        if not recs:
-            raise ValueError(f"domain {log.domain_names[d]!r} has no interactions")
-        num_users = len({r.user_id for r in recs})
-        sparsity = 100.0 * len(recs) / (num_users * num_items)
-        stats.append(DomainStats(d, log.domain_names[d], num_users,
-                                 num_items, len(recs), sparsity))
+            raise ValueError(f"domain {name!r} has no items")
+        if not len(users):
+            raise ValueError(f"domain {name!r} has no interactions")
+        num_users = len(np.unique(users))
+        sparsity = 100.0 * len(users) / (num_users * num_items)
+        stats.append(DomainStats(d, name, num_users, num_items, len(users), sparsity))
     return stats
 
 
@@ -244,18 +246,3 @@ def format_stats_table(stats) -> str:
     for r in rows:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)))
     return "\n".join(lines)
-
-
-def interactions_as_arrays(log: InteractionLog):
-    """Columnar (users, items, domains, timestamps) int64 views of the log."""
-    n = len(log.interactions)
-    users = np.empty(n, dtype=np.int64)
-    items = np.empty(n, dtype=np.int64)
-    domains = np.empty(n, dtype=np.int64)
-    stamps = np.empty(n, dtype=np.int64)
-    for k, rec in enumerate(log.interactions):
-        users[k] = rec.user_id
-        items[k] = rec.item_id
-        domains[k] = rec.domain_id
-        stamps[k] = rec.timestamp
-    return users, items, domains, stamps

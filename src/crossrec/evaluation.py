@@ -17,12 +17,14 @@ logger = logging.getLogger(__name__)
 EVAL_STREAM = 2
 
 
-@dataclass
-class EvalTask:
-    user_id: int
-    domain_id: int
-    pos_item_id: int
-    negatives: np.ndarray
+def task_records(users, domains, positives, negatives) -> np.recarray:
+    """Eval task records from parallel columns; ``negatives`` is an
+    (n, num_negatives) block stored as one subarray field."""
+    negatives = np.asarray(negatives, dtype=np.int64)
+    dtype = np.dtype([("user_id", np.int64), ("domain_id", np.int64),
+                      ("pos_item_id", np.int64),
+                      ("negatives", np.int64, (negatives.shape[1],))])
+    return np.rec.fromarrays([users, domains, positives, negatives], dtype=dtype)
 
 
 @dataclass
@@ -34,7 +36,7 @@ class MetricReport:
 
 
 def build_eval_tasks(split: SplitResult, graph: HeteroGraph, seed: int,
-                     num_negatives: int = 99) -> list:
+                     num_negatives: int = 99) -> np.recarray:
     """One task per test record: the positive plus num_negatives items
     the user never interacted with (train or test), drawn without
     replacement. Draws depend only on (seed, domain, user), so task
@@ -42,24 +44,27 @@ def build_eval_tasks(split: SplitResult, graph: HeteroGraph, seed: int,
     """
     if num_negatives < 1:
         raise ValueError("need at least one negative")
-    tasks = []
-    skipped = 0
-    for rec in split.test:
-        d, u, pos = rec.domain_id, rec.user_id, rec.item_id
+    test = split.test
+    built, drawn = [], []
+    for k, (u, d, pos) in enumerate(zip(test.user_id.tolist(), test.domain_id.tolist(),
+                                        test.item_id.tolist())):
         allowed = np.ones(graph.num_items_per_domain[d], dtype=bool)
         allowed[graph.user_items(d, u)] = False
         allowed[pos] = False
         eligible = np.flatnonzero(allowed)
         if len(eligible) < num_negatives:
-            skipped += 1
             continue
         rng = np.random.default_rng([seed, EVAL_STREAM, d, u])
-        negatives = rng.choice(eligible, size=num_negatives, replace=False)
-        tasks.append(EvalTask(u, d, pos, negatives.astype(np.int64)))
-    if skipped:
+        built.append(k)
+        drawn.append(rng.choice(eligible, size=num_negatives, replace=False))
+    if len(built) < len(test):
         logger.warning("skipped %d/%d eval users with fewer than %d eligible negatives",
-                       skipped, len(split.test), num_negatives)
-    return tasks
+                       len(test) - len(built), len(test), num_negatives)
+    kept = test[built]
+    # no task, no negatives: a field num_negatives wide may be too wide for a dtype
+    width = num_negatives if built else 0
+    return task_records(kept.user_id, kept.domain_id, kept.item_id,
+                        np.reshape(drawn, (len(built), width)))
 
 
 def ranks_of_positives(scores) -> np.ndarray:
@@ -91,19 +96,16 @@ def evaluate(model, tasks) -> list:
     """Score every task with one frozen forward pass; aggregate per
     domain in ascending id order. Domains without tasks are omitted."""
     o_u, o_i = model.outputs()
-    by_domain = {}
-    for task in tasks:
-        by_domain.setdefault(task.domain_id, []).append(task)
+    domains = np.unique(tasks.domain_id).tolist()
     reports = []
-    for d in sorted(by_domain):
-        group = by_domain[d]
-        users = np.array([t.user_id for t in group])
+    for d in domains:
+        group = tasks[tasks.domain_id == d]
         # candidate column 0 is the positive, the rest are negatives
-        cands = np.stack([np.concatenate(([t.pos_item_id], t.negatives)) for t in group])
-        scores = np.einsum("nk,nck->nc", o_u[d][users], o_i[d][cands])
+        cands = np.column_stack((group.pos_item_id, group.negatives))
+        scores = np.einsum("nk,nck->nc", o_u[d][group.user_id], o_i[d][cands])
         hr, ndcg = hr_ndcg_at_10(ranks_of_positives(scores))
         reports.append(MetricReport(d, len(group), hr, ndcg))
-    missing = set(range(len(o_u))) - set(by_domain)
+    missing = set(range(len(o_u))) - set(domains)
     if missing:
         logger.warning("no eval tasks for domains %s; omitted from report", sorted(missing))
     return reports

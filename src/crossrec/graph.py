@@ -13,7 +13,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .data import InteractionLog, interactions_as_arrays
+from .data import InteractionLog
 from .numeric import CsrAggregator
 
 # a domain's neighbor-sum operators: item rows -> users, user rows -> items
@@ -96,14 +96,14 @@ class HeteroGraph:
 
 def build_graph(train: InteractionLog) -> HeteroGraph:
     """Build the CSR graph from a training log. IDs must be dense."""
-    if not train.interactions:
+    recs = train.interactions
+    if not len(recs):
         raise ValueError("cannot build a graph from an empty log")
-    users, items, domains, _ = interactions_as_arrays(train)
     num_users = train.num_users
     csrs = []
     for d in range(train.num_domains):
-        mask = domains == d
-        du, di = users[mask], items[mask]
+        mask = recs.domain_id == d
+        du, di = recs.user_id[mask], recs.item_id[mask]
         num_items = train.num_items(d)
         if len(du) and (du.min() < 0 or du.max() >= num_users):
             raise ValueError(f"user id out of range in domain {d}")

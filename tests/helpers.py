@@ -8,19 +8,16 @@ test, so agreement is meaningful.
 
 import numpy as np
 
-from crossrec.baselines import random_log
-from crossrec.data import Interaction, InteractionLog
+from crossrec.baselines import _numbered_log, random_log
+from crossrec.data import interaction_records
 from crossrec.graph import build_graph
 
 
 def make_log(edges, num_users, items_per_domain):
-    """edges: list of (user, item, domain) tuples."""
-    return InteractionLog(
-        interactions=[Interaction(u, i, d, k) for k, (u, i, d) in enumerate(edges)],
-        user_names=[f"u{n}" for n in range(num_users)],
-        item_names=[[f"i{n}" for n in range(c)] for c in items_per_domain],
-        domain_names=[f"d{n}" for n in range(len(items_per_domain))],
-    )
+    """edges: list of (user, item, domain) tuples, timestamped in list order."""
+    users, items, domains = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    return _numbered_log(interaction_records(users, items, domains, np.arange(len(users))),
+                         num_users, items_per_domain)
 
 
 def random_graph(rng, num_users, items_per_domain, num_edges):

@@ -115,6 +115,26 @@ def test_prepare_empty_input_fails(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stamp", ["-9223372036854775809", "9223372036854775808"])
+@pytest.mark.parametrize("command", ["prepare", "train", "eval"])
+def test_out_of_range_timestamp_is_one_error_line(tmp_path, capsys, command, stamp):
+    data = tmp_path / "wide.tsv"
+    data.write_text(f"u0\ti0\td\t1\nu1\ti1\td\t{stamp}\nu0\ti1\td\t2\nu1\ti0\td\t3\n")
+    argv = [command, "--data", str(data)]
+    if command == "eval":
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(b"")  # never read: the log is refused first
+        argv += ["--checkpoint", str(ckpt)]
+    else:
+        argv += ["--out", str(tmp_path / "out")]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == (f"error: {data}:2: timestamp '{stamp}' outside "
+                            "the 64-bit integer range\n")
+    assert captured.out == ""
+
+
 def test_missing_data_file_fails(tmp_path, capsys):
     rc = main(["prepare", "--data", str(tmp_path / "nope.tsv"),
                "--out", str(tmp_path / "o")])
@@ -206,11 +226,12 @@ def test_failed_writes_keep_earlier_artifacts(tmp_path, tiny_tsv, monkeypatch, c
 
     def split_fails(log):
         split = split_leave_latest(log)
-        split.test = split.test[:1] + [None]  # fails after test.tsv's first line
+        split.test = split.test[:2].copy()
+        split.test.user_id[1] = log.num_users  # fails after test.tsv's first line
         return split
 
     monkeypatch.setattr(crossrec.cli, "split_leave_latest", split_fails)
-    with pytest.raises(AttributeError):
+    with pytest.raises(IndexError):
         main(["prepare", "--data", tiny_tsv, "--out", str(prep)])
     assert {name: read(prep / name) for name in names} == before
     assert sorted(os.listdir(prep)) == sorted(names)
@@ -283,6 +304,24 @@ def test_eval_rejects_mismatched_checkpoint(tmp_path, tiny_tsv, capsys):
                "--data", str(other), "--seed", "1"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("negatives", ["2", "1000000000000"])
+def test_eval_without_tasks_is_an_error(tmp_path, tiny_tsv, capsys, negatives):
+    # 3 items per domain leave each user 1 eligible negative, fewer than asked for
+    out = tmp_path / "run"
+    assert main(["train", "--config", train_cfg(tmp_path, epochs=1), "--data", tiny_tsv,
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    eval_cfg = tmp_path / "eval.cfg"
+    eval_cfg.write_text(f"num_eval_negatives={negatives}\n")
+    rc = main(["eval", "--checkpoint", str(out / "model.ckpt"), "--data", tiny_tsv,
+               "--config", str(eval_cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: no eval tasks could be built (candidate pools too small?)\n"
+    assert captured.out == ""
+    assert not (out / "metrics.kv").exists()
 
 
 # -- gradcheck --------------------------------------------------------------------------

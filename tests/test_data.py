@@ -7,7 +7,7 @@ from crossrec.data import (
     InteractionLog,
     compute_stats,
     format_stats_table,
-    interactions_as_arrays,
+    interaction_records,
     parse_log,
     split_leave_latest,
     write_interactions_tsv,
@@ -183,14 +183,17 @@ def test_format_stats_table_layout(tmp_path):
 
 def test_interactions_as_arrays(tmp_path):
     log = parse_log(write(tmp_path, BASIC))
-    users, items, domains, stamps = interactions_as_arrays(log)
-    assert users.dtype == np.int64
-    assert len(users) == len(log.interactions)
-    assert stamps[0] == 100
-    assert domains.max() == 1
+    recs = log.interactions
+    assert isinstance(recs, np.recarray)
+    assert recs.dtype.names == ("user_id", "item_id", "domain_id", "timestamp")
+    assert all(recs.dtype[name] == np.int64 for name in recs.dtype.names)
+    assert recs.user_id.tolist() == [0, 1, 0, 0]
+    assert recs.item_id.tolist() == [0, 1, 0, 1]
+    assert recs.domain_id.tolist() == [0, 0, 1, 0]
+    assert recs.timestamp.tolist() == [100, 50, 200, 150]
 
 
 def test_compute_stats_empty_log_object():
     with pytest.raises(ValueError):
-        compute_stats(InteractionLog(interactions=[], user_names=[],
-                                     item_names=[[]], domain_names=["d"]))
+        compute_stats(InteractionLog(interactions=interaction_records([], [], [], []),
+                                     user_names=[], item_names=[[]], domain_names=["d"]))

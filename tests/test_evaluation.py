@@ -7,7 +7,6 @@ import pytest
 from crossrec.data import split_leave_latest
 from crossrec.evaluation import (
     EVAL_STREAM,
-    EvalTask,
     build_eval_tasks,
     evaluate,
     format_metric_table,
@@ -85,7 +84,7 @@ def test_too_small_pools_are_skipped():
     split = split_leave_latest(tiny_overfit_log())
     graph = build_graph(split.train)
     # only 1 eligible negative per user at the default 99 -> all skipped
-    assert build_eval_tasks(split, graph, seed=5) == []
+    assert len(build_eval_tasks(split, graph, seed=5)) == 0
     tasks = build_eval_tasks(split, graph, seed=5, num_negatives=1)
     assert len(tasks) == len(split.test)
 
@@ -253,7 +252,8 @@ def test_evaluate_groups_by_domain_and_omits_empty():
     rng = np.random.default_rng(15)
     split = synthetic_split(rng)
     graph = build_graph(split.train)
-    tasks = [t for t in build_eval_tasks(split, graph, seed=16) if t.domain_id == 0]
+    tasks = build_eval_tasks(split, graph, seed=16)
+    tasks = tasks[tasks.domain_id == 0]
     model = DisentangledGraphModel(graph, dim=4, layers=1, seed=17)
     reports = evaluate(model, tasks)
     assert [r.domain_id for r in reports] == [0]

@@ -3,9 +3,14 @@ interaction log and config files. Each valid file is truncated or has
 one bit flipped; the reader must then either succeed or raise
 ValueError, nothing else, and answer within a per-example deadline.
 
+Random small logs also drive the columnar data path (parse, split,
+stats, eval tasks) against per-record reference loops.
+
 Examples are derandomized and bounded, so the suite stays
 deterministic and fast.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +19,15 @@ from hypothesis import strategies as st
 
 from crossrec.baselines import MfModel
 from crossrec.cli import TRAIN_KEYS, coerce, parse_config_file
-from crossrec.data import parse_log
+from crossrec.data import (
+    RECORD_FIELDS,
+    DomainStats,
+    compute_stats,
+    parse_log,
+    split_leave_latest,
+)
+from crossrec.evaluation import EVAL_STREAM, build_eval_tasks
+from crossrec.graph import build_graph
 from crossrec.model import DisentangledGraphModel, load_checkpoint, save_checkpoint
 from crossrec.training import TrainConfig
 
@@ -128,3 +141,128 @@ def test_mutated_configs_parse_or_raise_value_error(blob, tmp_path):
         load_train_config(write(tmp_path, "train.cfg", blob))
     except ValueError:
         pass
+
+
+# -- the columnar data path against per-record reference loops ----------------------
+
+# few tokens and stamps, so duplicate triples, timestamp ties and
+# single-record groups are common; item tokens recur across domains and
+# "u0" is a user and an item token
+LOG_ROWS = st.lists(st.tuples(st.sampled_from(("u0", "u1", "u2")),
+                              st.sampled_from(("a", "b", "c", "u0")),
+                              st.sampled_from(("x", "y")),
+                              st.sampled_from((0, 1, 2, -(1 << 63), (1 << 63) - 1))),
+                    min_size=1, max_size=24)
+DATA_PATH = settings(derandomize=True, database=None, max_examples=120, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def log_text(rows) -> bytes:
+    body = "".join(f"{u}\t{i}\t{d}\t{t}\n" for u, i, d, t in rows)
+    return ("# user\titem\tdomain\ttimestamp\n\n" + body).encode("utf-8")
+
+
+def as_tuples(recs) -> list:
+    return list(zip(*(recs[name].tolist() for name in RECORD_FIELDS)))
+
+
+def reference_parse(rows):
+    """(records, user names, item names, domain names), one record at a
+    time: first-seen ids; a repeated triple keeps its first position and
+    its latest timestamp."""
+    users, domains, items = {}, {}, []
+    recs, seen = [], {}
+    for user, item, domain, ts in rows:
+        if domain not in domains:
+            domains[domain] = len(domains)
+            items.append({})
+        d = domains[domain]
+        u = users.setdefault(user, len(users))
+        i = items[d].setdefault(item, len(items[d]))
+        if (u, i, d) in seen:
+            k = seen[(u, i, d)]
+            recs[k] = (u, i, d, max(recs[k][3], ts))
+        else:
+            seen[(u, i, d)] = len(recs)
+            recs.append((u, i, d, ts))
+    return recs, list(users), [list(names) for names in items], list(domains)
+
+
+def reference_split(recs):
+    """(train, test): each (user, domain) group of two or more holds out
+    its record with the largest (timestamp, item); test sorted by
+    (user, domain)."""
+    groups = {}
+    for pos, (u, _, d, _) in enumerate(recs):
+        groups.setdefault((u, d), []).append(pos)
+    held = {max(group, key=lambda p: (recs[p][3], recs[p][1]))
+            for group in groups.values() if len(group) >= 2}
+    train = [rec for pos, rec in enumerate(recs) if pos not in held]
+    return train, sorted((recs[p] for p in held), key=lambda r: (r[0], r[2]))
+
+
+def reference_stats(recs, item_names, domain_names):
+    stats = []
+    for d, name in enumerate(domain_names):
+        rows = [r for r in recs if r[2] == d]
+        users = len({r[0] for r in rows})
+        items = len(item_names[d])
+        stats.append(DomainStats(d, name, users, items, len(rows),
+                                 100.0 * len(rows) / (users * items)))
+    return stats
+
+
+def reference_tasks(train, test, item_names, seed, num_negatives):
+    tasks = []
+    for u, pos, d, _ in test:
+        blocked = {r[1] for r in train if (r[0], r[2]) == (u, d)} | {pos}
+        eligible = np.array([i for i in range(len(item_names[d])) if i not in blocked],
+                            dtype=np.int64)
+        if len(eligible) < num_negatives:
+            continue
+        rng = np.random.default_rng([seed, EVAL_STREAM, d, u])
+        tasks.append((u, d, pos, rng.choice(eligible, size=num_negatives,
+                                            replace=False).tolist()))
+    return tasks
+
+
+@DATA_PATH
+@given(rows=LOG_ROWS, seed=st.integers(0, 3), num_negatives=st.integers(1, 3))
+def test_data_path_matches_per_record_loops(rows, seed, num_negatives, tmp_path):
+    log = parse_log(write(tmp_path, "log.tsv", log_text(rows)))
+    recs, user_names, item_names, domain_names = reference_parse(rows)
+    assert (log.user_names, log.item_names, log.domain_names) == \
+        (user_names, item_names, domain_names)
+    assert as_tuples(log.interactions) == recs
+
+    split = split_leave_latest(log)
+    train, test = reference_split(recs)
+    assert as_tuples(split.train.interactions) == train
+    assert as_tuples(split.test) == test
+    assert compute_stats(log) == reference_stats(recs, item_names, domain_names)
+
+    tasks = build_eval_tasks(split, build_graph(split.train), seed=seed,
+                             num_negatives=num_negatives)
+    got = [(t.user_id, t.domain_id, t.pos_item_id, t.negatives.tolist()) for t in tasks]
+    assert got == reference_tasks(train, test, item_names, seed, num_negatives)
+
+
+@DATA_PATH
+@given(rows=LOG_ROWS, num_negatives=st.integers(1, 3), data=st.data())
+def test_tasks_ignore_test_order_and_avoid_seen_items(rows, num_negatives, data, tmp_path):
+    split = split_leave_latest(parse_log(write(tmp_path, "log.tsv", log_text(rows))))
+    graph = build_graph(split.train)
+    perm = data.draw(st.permutations(range(len(split.test))))
+    tasks, shuffled = (build_eval_tasks(s, graph, seed=1, num_negatives=num_negatives)
+                       for s in (split, replace(split, test=split.test[perm])))
+
+    def keyed(ts):
+        return sorted((t.user_id, t.domain_id, t.pos_item_id, t.negatives.tolist())
+                      for t in ts)
+
+    assert keyed(tasks) == keyed(shuffled)
+    seen = {(u, i, d) for u, i, d, _ in as_tuples(split.train.interactions)}
+    for t in tasks:
+        negatives = t.negatives.tolist()
+        assert t.pos_item_id not in negatives
+        assert not any((t.user_id, i, t.domain_id) in seen for i in negatives)

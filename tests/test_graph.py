@@ -1,21 +1,14 @@
 """Tests for heterogeneous graph construction and queries."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from crossrec.data import InteractionLog, Interaction
+from crossrec.data import InteractionLog, interaction_records
 from crossrec.graph import build_graph
 
-
-def make_log(edges, num_users, items_per_domain):
-    """edges: list of (user, item, domain)."""
-    log = InteractionLog(
-        interactions=[Interaction(u, i, d, k) for k, (u, i, d) in enumerate(edges)],
-        user_names=[f"u{n}" for n in range(num_users)],
-        item_names=[[f"i{n}" for n in range(c)] for c in items_per_domain],
-        domain_names=[f"d{n}" for n in range(len(items_per_domain))],
-    )
-    return log
+from helpers import make_log
 
 
 def random_log(rng, num_users=12, items_per_domain=(9, 7), num_edges=60):
@@ -100,12 +93,7 @@ def test_canonical_under_permutation():
     rng = np.random.default_rng(14)
     log = random_log(rng)
     perm = rng.permutation(len(log.interactions))
-    shuffled = InteractionLog(
-        interactions=[log.interactions[p] for p in perm],
-        user_names=log.user_names,
-        item_names=log.item_names,
-        domain_names=log.domain_names,
-    )
+    shuffled = replace(log, interactions=log.interactions[perm])
     a, b = build_graph(log), build_graph(shuffled)
     rows = rng.standard_normal((max(a.num_users, *a.num_items_per_domain), 3))
     for d in range(2):
@@ -181,7 +169,7 @@ def test_edge_arrays_align_with_csr():
 
 
 def test_build_graph_empty_log_errors():
-    log = InteractionLog(interactions=[], user_names=[], item_names=[[]],
-                         domain_names=["d"])
+    log = InteractionLog(interactions=interaction_records([], [], [], []), user_names=[],
+                         item_names=[[]], domain_names=["d"])
     with pytest.raises(ValueError):
         build_graph(log)
