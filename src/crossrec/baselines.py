@@ -18,6 +18,7 @@ import numpy as np
 from .data import InteractionLog, interaction_records
 from .graph import HeteroGraph
 from .model import Activations
+from .numeric import check_seed
 
 logger = logging.getLogger(__name__)
 
@@ -123,6 +124,7 @@ class SyntheticSpec:
             raise ValueError("interactions_per_user must be below items_per_domain")
         if not 0 < self.temperature < math.inf:
             raise ValueError("temperature must be positive and finite")
+        check_seed(self.seed)
 
 
 def generate_synthetic(spec: SyntheticSpec):

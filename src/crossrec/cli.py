@@ -208,15 +208,15 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     kwargs, _ = _load_config(args.config, EVAL_KEYS, seed=args.seed)
-    seed = kwargs.get("seed", TrainConfig.seed)
-    num_negatives = kwargs.get("num_eval_negatives", TrainConfig.num_eval_negatives)
+    config = TrainConfig(**kwargs)  # checks the keys' ranges, supplies their defaults
     data = _require_file(args.data, "--data")
     ckpt = _require_file(args.checkpoint, "--checkpoint")
     log = parse_log(data)
     split = split_leave_latest(log)
     graph = build_graph(split.train)
     model = load_checkpoint(ckpt, graph)
-    tasks = build_eval_tasks(split, graph, seed=seed, num_negatives=num_negatives)
+    tasks = build_eval_tasks(split, graph, seed=config.seed,
+                             num_negatives=config.num_eval_negatives)
     if not len(tasks):
         raise ValueError("no eval tasks could be built (candidate pools too small?)")
     reports = evaluate(model, tasks)

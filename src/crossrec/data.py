@@ -22,7 +22,8 @@ import numpy as np
 
 RECORD_FIELDS = ("user_id", "item_id", "domain_id", "timestamp")
 RECORD_DTYPE = np.dtype([(name, np.int64) for name in RECORD_FIELDS])
-_INT64 = np.iinfo(np.int64)
+# plain ints: an np.iinfo attribute costs a property call on every line parsed
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
 def interaction_records(users, items, domains, stamps) -> np.recarray:
@@ -155,11 +156,14 @@ def parse_log(path: str) -> InteractionLog:
                 if not user or not item or not domain:
                     raise ValueError(f"{path}:{lineno}: empty user/item/domain field")
                 try:
+                    # int() alone would also take "1_000" and non-ASCII digits
+                    if "_" in ts_raw or not ts_raw.isascii():
+                        raise ValueError
                     ts = int(ts_raw)
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: timestamp {ts_raw!r} is not an integer") from None
-                if not _INT64.min <= ts <= _INT64.max:
+                if not _INT64_MIN <= ts <= _INT64_MAX:
                     raise ValueError(f"{path}:{lineno}: timestamp {ts_raw!r} outside "
                                      "the 64-bit integer range")
                 yield user, item, domain, ts

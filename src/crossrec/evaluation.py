@@ -11,10 +11,14 @@ import numpy as np
 
 from .data import SplitResult, atomic_open
 from .graph import HeteroGraph
+from .numeric import check_seed, gather_rows
 
 logger = logging.getLogger(__name__)
 
 EVAL_STREAM = 2
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 / golden ratio
+MASK_BYTES = 1 << 22  # bound on build_eval_tasks' (tasks x items) blocked-item mask
+SCORE_BLOCK = 64  # tasks per candidate block in evaluate: bounds its buffer
 
 
 def task_records(users, domains, positives, negatives) -> np.recarray:
@@ -35,36 +39,94 @@ class MetricReport:
     ndcg_at_10: float
 
 
+def splitmix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer (Steele et al., OOPSLA 2014), a bijection
+    of uint64. Array arithmetic wraps mod 2**64 without a warning."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+def task_keys(seed: int, domain: int, users) -> np.ndarray:
+    """The uint64 key of each task's negative stream: the finalizer
+    chained over (seed, EVAL_STREAM, domain, user) as key = mix(key +
+    part + GOLDEN_GAMMA), from key = 0."""
+    check_seed(seed)
+    key = np.zeros(len(users), dtype=np.uint64)
+    for part in (seed, EVAL_STREAM, domain):
+        key = splitmix64(key + np.uint64(part) + GOLDEN_GAMMA)
+    return splitmix64(key + np.asarray(users, dtype=np.uint64) + GOLDEN_GAMMA)
+
+
+def _draw_negatives(keys, blocked, num_negatives: int) -> np.ndarray:
+    """The first ``num_negatives`` items of each row's stream that its
+    ``blocked`` row does not hold, in draw order. Draw j of a row is
+    mix(key + (j+1) * GOLDEN_GAMMA), mapped onto the row's items by the
+    multiply-shift ((h >> 32) * num_items) >> 32. Accepted items are
+    blocked, so no row repeats one; ``blocked`` is consumed."""
+    rows, num_items = blocked.shape
+    negatives = np.empty((rows, num_negatives), dtype=np.int64)
+    filled = np.zeros(rows, dtype=np.int64)
+    active = np.arange(rows)
+    draw = 0
+    while len(active):
+        draw += 1
+        # the counter is reduced in Python ints: uint64 scalars warn on overflow
+        h = splitmix64(keys[active] + draw * GOLDEN_GAMMA % 2**64)
+        items = (((h >> 32) * num_items) >> 32).astype(np.intp)
+        fresh = ~blocked[active, items]
+        rows_in, items = active[fresh], items[fresh]
+        blocked[rows_in, items] = True
+        negatives[rows_in, filled[rows_in]] = items
+        filled[rows_in] += 1
+        active = active[filled[active] < num_negatives]
+    return negatives
+
+
 def build_eval_tasks(split: SplitResult, graph: HeteroGraph, seed: int,
                      num_negatives: int = 99) -> np.recarray:
-    """One task per test record: the positive plus num_negatives items
-    the user never interacted with (train or test), drawn without
-    replacement. Draws depend only on (seed, domain, user), so task
-    order never matters. Users with too few eligible items are skipped.
+    """One task per test record, in test order: the positive plus
+    num_negatives distinct items that are neither the positive nor a
+    train item of the user, the first such items of the task's keyed
+    stream (``task_keys``, ``_draw_negatives``). Draws depend only on
+    (seed, domain, user) and the blocked set, so task order never
+    matters. A task whose user leaves fewer than num_negatives items
+    besides its train items and the positive is skipped, with a warning
+    unless every task is.
     """
     if num_negatives < 1:
         raise ValueError("need at least one negative")
     test = split.test
-    built, drawn = [], []
-    for k, (u, d, pos) in enumerate(zip(test.user_id.tolist(), test.domain_id.tolist(),
-                                        test.item_id.tolist())):
-        allowed = np.ones(graph.num_items_per_domain[d], dtype=bool)
-        allowed[graph.user_items(d, u)] = False
-        allowed[pos] = False
-        eligible = np.flatnonzero(allowed)
-        if len(eligible) < num_negatives:
-            continue
-        rng = np.random.default_rng([seed, EVAL_STREAM, d, u])
-        built.append(k)
-        drawn.append(rng.choice(eligible, size=num_negatives, replace=False))
-    if len(built) < len(test):
+    users, domains, positives = test.user_id, test.domain_id, test.item_id
+    sizes = np.asarray(graph.num_items_per_domain, dtype=np.int64)
+    if len(test) and not (0 <= users.min() and users.max() < graph.num_users
+                          and 0 <= domains.min() and domains.max() < graph.num_domains
+                          and ((0 <= positives) & (positives < sizes[domains])).all()):
+        raise ValueError("a test record lies outside the graph's users or items")
+    degrees = np.stack([np.diff(graph.csr(d)[0]) for d in range(graph.num_domains)])
+    kept = np.flatnonzero(sizes[domains] - degrees[domains, users] - 1 >= num_negatives)
+    if 0 < len(kept) < len(test):
         logger.warning("skipped %d/%d eval users with fewer than %d eligible negatives",
-                       len(test) - len(built), len(test), num_negatives)
-    kept = test[built]
+                       len(test) - len(kept), len(test), num_negatives)
     # no task, no negatives: a field num_negatives wide may be too wide for a dtype
-    width = num_negatives if built else 0
-    return task_records(kept.user_id, kept.domain_id, kept.item_id,
-                        np.reshape(drawn, (len(built), width)))
+    negatives = np.empty((len(kept), num_negatives if len(kept) else 0), dtype=np.int64)
+    for d in np.unique(domains[kept]).tolist():
+        offsets, items = graph.csr(d)
+        rows = np.flatnonzero(domains[kept] == d)
+        step = max(1, MASK_BYTES // sizes[d])
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            u, pos = users[kept[block]], positives[kept[block]]
+            # every row's train items as one gather from the CSR
+            starts, counts = offsets[u], offsets[u + 1] - offsets[u]
+            ends = np.cumsum(counts)
+            flat = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+            blocked = np.zeros((len(block), sizes[d]), dtype=bool)
+            blocked[np.repeat(np.arange(len(block)), counts), items[flat]] = True
+            blocked[np.arange(len(block)), pos] = True
+            negatives[block] = _draw_negatives(task_keys(seed, d, u), blocked, num_negatives)
+    kept_test = test[kept]
+    return task_records(kept_test.user_id, kept_test.domain_id, kept_test.item_id, negatives)
 
 
 def ranks_of_positives(scores) -> np.ndarray:
@@ -94,7 +156,9 @@ def hr_ndcg_at_10(ranks) -> tuple:
 
 def evaluate(model, tasks) -> list:
     """Score every task with one frozen forward pass; aggregate per
-    domain in ascending id order. Domains without tasks are omitted."""
+    domain in ascending id order. Domains without tasks are omitted.
+    Candidate vectors are gathered SCORE_BLOCK tasks at a time into one
+    reused buffer; each score is the same einsum over the same row."""
     o_u, o_i = model.outputs()
     domains = np.unique(tasks.domain_id).tolist()
     reports = []
@@ -102,7 +166,13 @@ def evaluate(model, tasks) -> list:
         group = tasks[tasks.domain_id == d]
         # candidate column 0 is the positive, the rest are negatives
         cands = np.column_stack((group.pos_item_id, group.negatives))
-        scores = np.einsum("nk,nck->nc", o_u[d][group.user_id], o_i[d][cands])
+        user_rows = o_u[d][group.user_id]
+        scores = np.empty(cands.shape)
+        buf = np.empty((min(SCORE_BLOCK, len(cands)), cands.shape[1], o_i[d].shape[1]))
+        for lo in range(0, len(cands), SCORE_BLOCK):
+            hi = min(lo + SCORE_BLOCK, len(cands))
+            rows = gather_rows(o_i[d], cands[lo:hi], buf[:hi - lo])
+            np.einsum("nk,nck->nc", user_rows[lo:hi], rows, out=scores[lo:hi])
         hr, ndcg = hr_ndcg_at_10(ranks_of_positives(scores))
         reports.append(MetricReport(d, len(group), hr, ndcg))
     missing = set(range(len(o_u))) - set(domains)

@@ -59,6 +59,11 @@ class HeteroGraph:
     def num_edges(self, domain_id: int) -> int:
         return len(self._csrs[domain_id][1])
 
+    def csr(self, domain_id: int):
+        """The domain's user-major (offsets, items) CSR, items sorted
+        within each user's row."""
+        return self._csrs[domain_id]
+
     def edge_arrays(self, domain_id: int):
         """Read-only (users, items) arrays of the domain's edges, sorted
         by (user, item)."""

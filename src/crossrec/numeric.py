@@ -22,6 +22,14 @@ def check_finite(a: Array, name: str = "array") -> Array:
     return a
 
 
+def check_seed(seed: int) -> int:
+    """Seeds key 64-bit hashes and numpy's seed sequences, so they must
+    be nonnegative and fit in 64 bits; returns the seed unchanged."""
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must lie in [0, 2**64)")
+    return seed
+
+
 def as_matrix(a, name: str = "matrix") -> Array:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -100,6 +108,15 @@ class CsrAggregator:
         if rows.shape[0] != self.num_targets:
             raise ValueError(f"expected {self.num_targets} target rows, got {rows.shape[0]}")
         return self._mat_t @ rows
+
+
+def gather_rows(table, index, out):
+    """out[k] = table[index[k]], for any shape of ``index``. np.take
+    writes straight into ``out`` only in clip mode, which would hide a
+    bad index, so the range is checked first."""
+    if index.size and (index.min() < 0 or index.max() >= len(table)):
+        raise ValueError(f"row index out of range [0, {len(table)})")
+    return np.take(table, index, axis=0, out=out, mode="clip")
 
 
 def scatter_rows(index, rows, num_rows: int) -> Array:

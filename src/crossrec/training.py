@@ -24,8 +24,8 @@ from .data import SplitResult, split_leave_latest
 from .evaluation import build_eval_tasks, evaluate
 from .graph import HeteroGraph, build_graph
 from .model import DisentangledGraphModel
-from .numeric import (AdamState, FlatArrays, Scratch, adam_step, finite_diff_grad,
-                      scatter_rows)
+from .numeric import (AdamState, FlatArrays, Scratch, adam_step, check_seed,
+                      finite_diff_grad, gather_rows, scatter_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -74,6 +74,7 @@ class TrainConfig:
             raise ValueError("triplets_per_epoch must be at least 1 (or none)")
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
+        check_seed(self.seed)
         if self.num_eval_negatives < 1:
             raise ValueError("num_eval_negatives must be at least 1")
         if self.domain_weights != "auto":
@@ -162,15 +163,6 @@ def bpr_loss_grad(x_pos, x_neg) -> np.ndarray:
     return -expit(-z)
 
 
-def _gather(table, index, out):
-    """out[k] = table[index[k]]. np.take writes straight into ``out``
-    only in clip mode, which would hide a bad index, so the range is
-    checked first."""
-    if len(index) and (index.min() < 0 or index.max() >= len(table)):
-        raise ValueError(f"row index out of range [0, {len(table)})")
-    return np.take(table, index, axis=0, out=out, mode="clip")
-
-
 def bpr_domain_step(o_u, o_i, batch: TripletBatch, beta: float, scratch: Scratch = None):
     """Fused BPR step of one domain on its output tables.
 
@@ -184,9 +176,9 @@ def bpr_domain_step(o_u, o_i, batch: TripletBatch, beta: float, scratch: Scratch
     n, k = len(batch), o_u.shape[1]
     u_rows, block = (scratch or Scratch()).take((n, k), (2 * n, k))
     top, bottom = block[:n], block[n:]
-    _gather(o_u, batch.users, u_rows)
-    pos_rows = _gather(o_i, batch.pos_items, top)
-    neg_rows = _gather(o_i, batch.neg_items, bottom)
+    gather_rows(o_u, batch.users, u_rows)
+    pos_rows = gather_rows(o_i, batch.pos_items, top)
+    neg_rows = gather_rows(o_i, batch.neg_items, bottom)
     x_pos = np.einsum("ij,ij->i", u_rows, pos_rows)
     x_neg = np.einsum("ij,ij->i", u_rows, neg_rows)
     # d(beta * mean BPR)/d(z_k) for each triplet
@@ -368,7 +360,8 @@ def fit(split: SplitResult, config: TrainConfig, log_stream=None) -> FitResult:
 
     With use_validation, a second leave-latest split of the train data
     selects the best epoch by mean NDCG@10 and the returned model
-    carries those parameters.
+    carries those parameters; a validation side with no task to rank
+    raises ValueError before training starts.
     """
     train_log = split.train
     val_split = None
@@ -376,10 +369,15 @@ def fit(split: SplitResult, config: TrainConfig, log_stream=None) -> FitResult:
         val_split = split_leave_latest(train_log)
         train_log = val_split.train
     graph = build_graph(train_log)
+    if val_split is not None:
+        val_tasks = build_eval_tasks(val_split, graph, seed=config.seed,
+                                     num_negatives=config.num_eval_negatives)
+        if not len(val_tasks):
+            raise ValueError("no validation tasks could be built (candidate pools too small "
+                             "for num_eval_negatives?)")
     model = make_model(graph, config)
     trainer = Trainer(model, config)
 
-    val_tasks = None
     best = None
     reports = []
     for _ in range(config.epochs):
@@ -388,11 +386,8 @@ def fit(split: SplitResult, config: TrainConfig, log_stream=None) -> FitResult:
         if log_stream is not None:
             print(format_epoch_line(report, graph.num_domains), file=log_stream)
         if val_split is not None and report.epoch % config.eval_every == 0:
-            if val_tasks is None:
-                val_tasks = build_eval_tasks(val_split, graph, seed=config.seed,
-                                             num_negatives=config.num_eval_negatives)
             metrics = evaluate(model, val_tasks)
-            mean_ndcg = float(np.mean([m.ndcg_at_10 for m in metrics])) if metrics else 0.0
+            mean_ndcg = float(np.mean([m.ndcg_at_10 for m in metrics]))
             if best is None or mean_ndcg > best[0]:
                 best = (mean_ndcg, report.epoch, trainer.params.data.copy())
     best_epoch = None

@@ -136,3 +136,33 @@ def tiny_overfit_log():
                 records.append((f"u{u}", f"i{(u + off) % 3}", f"d{d}", ts))
                 ts += 1
     return _build_log(records)
+
+
+MASK64 = (1 << 64) - 1
+GAMMA64 = 0x9E3779B97F4A7C15
+
+
+def mix64(z):
+    """SplitMix64's finalizer on a Python int, masked to 64 bits."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_negatives(seed, stream, domain, user, blocked, num_items, num_negatives):
+    """One task's eval negatives, drawn one at a time in Python ints:
+    the key chains the finalizer over (seed, stream, domain, user), draw
+    j hashes key + j * gamma (j from 1) onto an item by multiply-shift,
+    and the first num_negatives items not in ``blocked`` (nor drawn
+    before) are kept in draw order."""
+    key = 0
+    for part in (seed, stream, domain, user):
+        key = mix64((key + int(part) + GAMMA64) & MASK64)
+    blocked, picked, j = set(blocked), [], 0
+    while len(picked) < num_negatives:
+        j += 1
+        item = ((mix64((key + j * GAMMA64) & MASK64) >> 32) * num_items) >> 32
+        if item not in blocked:
+            blocked.add(item)
+            picked.append(item)
+    return picked

@@ -218,6 +218,9 @@ def test_spec_validation():
     for temperature in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="temperature"):
             SyntheticSpec(temperature=temperature)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            SyntheticSpec(seed=seed)
 
 
 def test_manifest_json_subset_is_serializable():

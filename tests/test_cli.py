@@ -307,12 +307,13 @@ def test_eval_rejects_mismatched_checkpoint(tmp_path, tiny_tsv, capsys):
 
 
 @pytest.mark.parametrize("negatives", ["2", "1000000000000"])
-def test_eval_without_tasks_is_an_error(tmp_path, tiny_tsv, capsys, negatives):
+def test_eval_without_tasks_is_an_error(tmp_path, tiny_tsv, capsys, caplog, negatives):
     # 3 items per domain leave each user 1 eligible negative, fewer than asked for
     out = tmp_path / "run"
     assert main(["train", "--config", train_cfg(tmp_path, epochs=1), "--data", tiny_tsv,
                  "--out", str(out)]) == 0
     capsys.readouterr()
+    caplog.clear()
     eval_cfg = tmp_path / "eval.cfg"
     eval_cfg.write_text(f"num_eval_negatives={negatives}\n")
     rc = main(["eval", "--checkpoint", str(out / "model.ckpt"), "--data", tiny_tsv,
@@ -320,8 +321,48 @@ def test_eval_without_tasks_is_an_error(tmp_path, tiny_tsv, capsys, negatives):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err == "error: no eval tasks could be built (candidate pools too small?)\n"
+    # outside pytest the CLI's log handler writes each record to stderr as well
+    assert [r.getMessage() for r in caplog.records] == []
     assert captured.out == ""
     assert not (out / "metrics.kv").exists()
+
+
+def test_train_with_validation_but_no_tasks_is_an_error(tmp_path, capsys):
+    # 40 items a domain, 10 per user: no validation user leaves 99 eligible negatives
+    corpus = tmp_path / "synth"
+    assert main(["synth", "--out", str(corpus), "--config",
+                 synth_cfg(tmp_path, num_users=120, items_per_domain=40, num_domains=3,
+                           interactions_per_user=10)]) == 0
+    cfg = tmp_path / "val.cfg"
+    cfg.write_text("epochs=6\ndim=4\nlayers=1\nuse_validation=true\neval_every=1\n")
+    out = tmp_path / "val"
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg), "--data", str(corpus / "interactions.tsv"),
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == ("error: no validation tasks could be built (candidate pools "
+                            "too small for num_eval_negatives?)\n")
+    assert captured.out == ""
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_out_of_range_seed_is_one_error_line(tmp_path, tiny_tsv, capsys, command, seed):
+    argv = [command, "--data", tiny_tsv, "--seed", seed]
+    if command == "eval":
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(b"")  # never read: the seed is refused first
+        argv += ["--checkpoint", str(ckpt)]
+    else:
+        argv += ["--config", train_cfg(tmp_path, epochs=1), "--out", str(tmp_path / "out")]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: seed must lie in [0, 2**64)\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 # -- gradcheck --------------------------------------------------------------------------

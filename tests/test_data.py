@@ -68,6 +68,17 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         parse_log(path)
 
 
+@pytest.mark.parametrize("stamp", ["1_000", "\u0663", "+-5", "-"])
+def test_timestamps_are_ascii_digits_with_an_optional_sign(tmp_path, stamp):
+    path = tmp_path / "log.tsv"
+    path.write_text(f"u\ti\td\t+7\nu\tj\td\t{stamp}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        parse_log(path)
+    assert str(err.value) == f"{path}:2: timestamp {stamp!r} is not an integer"
+    stamps = parse_log(write(tmp_path, "u\ti\td\t+7\nu\tj\td\t-007\n", name="ok.tsv"))
+    assert stamps.interactions.timestamp.tolist() == [7, -7]
+
+
 def test_parse_rejects_empty_file(tmp_path):
     with pytest.raises(ValueError, match="no interactions"):
         parse_log(write(tmp_path, "# only comments\n"))

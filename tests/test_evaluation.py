@@ -1,9 +1,13 @@
 """Tests for the ranking protocol: task construction, the conservative
 tie rule, metric closed forms, and the random-model baseline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import stats
 
+from crossrec import evaluation
 from crossrec.data import split_leave_latest
 from crossrec.evaluation import (
     EVAL_STREAM,
@@ -17,7 +21,7 @@ from crossrec.evaluation import (
 from crossrec.graph import build_graph
 from crossrec.model import DisentangledGraphModel
 
-from helpers import make_log, random_graph, tiny_overfit_log
+from helpers import make_log, random_graph, reference_negatives, tiny_overfit_log
 
 NDCG_AT_RANK_10 = 0.28906482631788785  # 1 / log2(11)
 
@@ -80,18 +84,21 @@ def test_exactly_100_eligible_items_forces_the_pool():
     assert set(tasks[0].negatives.tolist()) == want
 
 
-def test_too_small_pools_are_skipped():
+def test_too_small_pools_are_skipped(caplog):
     split = split_leave_latest(tiny_overfit_log())
     graph = build_graph(split.train)
-    # only 1 eligible negative per user at the default 99 -> all skipped
+    # only 1 eligible negative per user at the default 99 -> all skipped,
+    # which the caller reports, so no warning
     assert len(build_eval_tasks(split, graph, seed=5)) == 0
+    assert caplog.records == []
     tasks = build_eval_tasks(split, graph, seed=5, num_negatives=1)
     assert len(tasks) == len(split.test)
 
 
 def test_tasks_match_setdiff_reference():
-    # eligible negatives are every item minus the user's train items and
-    # the positive, in ascending order, as a setdiff1d loop computes them
+    # the blocked items are the user's train items and the positive, as
+    # union1d computes them; each task's negatives are the first 99 other
+    # items of its keyed stream, drawn one at a time in Python ints
     rng = np.random.default_rng(17)
     split = synthetic_split(rng, num_users=40, items=(130, 105), edges_per_user=6)
     graph = build_graph(split.train)
@@ -100,12 +107,88 @@ def test_tasks_match_setdiff_reference():
     for rec, task in zip(split.test, tasks):
         d, u = rec.domain_id, rec.user_id
         users, items = graph.edge_arrays(d)
-        blocked = np.union1d(items[users == u], [rec.item_id])
-        eligible = np.setdiff1d(np.arange(graph.num_items_per_domain[d]), blocked)
-        want = np.random.default_rng([21, EVAL_STREAM, d, u]).choice(
-            eligible, size=99, replace=False)
+        blocked = np.union1d(items[users == u], [rec.item_id]).tolist()
+        want = reference_negatives(21, EVAL_STREAM, d, u, blocked,
+                                   graph.num_items_per_domain[d], 99)
         assert (task.user_id, task.domain_id, task.pos_item_id) == (u, d, rec.item_id)
-        assert np.array_equal(task.negatives, want)
+        assert task.negatives.tolist() == want
+
+
+def test_task_blocks_do_not_change_draws(monkeypatch):
+    rng = np.random.default_rng(24)
+    split = synthetic_split(rng, num_users=50)
+    graph = build_graph(split.train)
+    whole = build_eval_tasks(split, graph, seed=5)
+    # 800 mask bytes: blocks of 6 tasks in domain 0 (120 items), 7 in domain 1 (110)
+    monkeypatch.setattr(evaluation, "MASK_BYTES", 800)
+    assert np.array_equal(build_eval_tasks(split, graph, seed=5), whole)
+
+
+def test_pool_equal_to_negatives_returns_the_pool():
+    # 2000 items, 1995 trained on, the positive: the last 4 must all be
+    # drawn, which takes the stream a long tail of rejected draws
+    edges = [(0, i, 0) for i in range(1995)] + [(0, 1995, 0), (1, 0, 0), (1, 1, 0)]
+    split = split_leave_latest(make_log(edges, 2, [2000]))
+    graph = build_graph(split.train)
+    tasks = build_eval_tasks(split, graph, seed=3, num_negatives=4)
+    assert tasks.user_id.tolist() == [0, 1]
+    assert sorted(tasks[0].negatives.tolist()) == [1996, 1997, 1998, 1999]
+    # one more than the pool holds: the task is skipped, not drawn forever
+    tasks = build_eval_tasks(split, graph, seed=3, num_negatives=5)
+    assert tasks.user_id.tolist() == [1]
+
+
+def test_negatives_are_uniform_over_the_pool():
+    # every user blocks items 0 and 1, so each of the 50 others is one
+    # of a task's 10 negatives with probability 1/5
+    num_users, num_items, k = 3000, 52, 10
+    edges = [(u, i, 0) for u in range(num_users) for i in (0, 1)]
+    split = split_leave_latest(make_log(edges, num_users, [num_items]))
+    tasks = build_eval_tasks(split, build_graph(split.train), seed=8, num_negatives=k)
+    assert len(tasks) == num_users
+    counts = np.bincount(tasks.negatives.ravel(), minlength=num_items)
+    assert counts[:2].tolist() == [0, 0]
+    expected = num_users * k / (num_items - 2)
+    chi2 = float(np.sum((counts[2:] - expected) ** 2 / expected))
+    assert chi2 < stats.chi2.ppf(0.999, num_items - 3)
+    # and each draw position on its own, the first negative of every task
+    first = np.bincount(tasks.negatives[:, 0], minlength=num_items)[2:]
+    expected = num_users / (num_items - 2)
+    assert float(np.sum((first - expected) ** 2 / expected)) < stats.chi2.ppf(0.999,
+                                                                             num_items - 3)
+
+
+def test_tasks_come_out_in_test_order(caplog):
+    rng = np.random.default_rng(25)
+    split = synthetic_split(rng, num_users=30, items=(120, 40), edges_per_user=4)
+    split = replace(split, test=split.test[rng.permutation(len(split.test))])
+    graph = build_graph(split.train)
+    # domain 1's 40 items leave 36 candidates: 37 negatives skip its tasks
+    tasks = build_eval_tasks(split, graph, seed=2, num_negatives=37)
+    kept = split.test[split.test.domain_id == 0]
+    assert 0 < len(tasks) < len(split.test)
+    assert tasks.user_id.tolist() == kept.user_id.tolist()
+    assert tasks.pos_item_id.tolist() == kept.item_id.tolist()
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipped 30/60 eval users with fewer than 37 eligible negatives"]
+
+
+def test_repeated_users_get_one_task_per_record():
+    # two test records of one user in one domain share a key, yet each
+    # task blocks its own positive
+    rng = np.random.default_rng(26)
+    split = synthetic_split(rng)
+    graph = build_graph(split.train)
+    rec = split.test[:1]
+    twin = rec.copy()
+    twin.item_id = next(i for i in range(120) if i not in graph.user_items(0, rec.user_id[0])
+                        and i != rec.item_id[0])
+    test = np.concatenate([rec, twin, rec]).view(np.recarray)
+    tasks = build_eval_tasks(replace(split, test=test), graph, seed=4)
+    assert tasks.pos_item_id.tolist() == [rec.item_id[0], twin.item_id[0], rec.item_id[0]]
+    assert np.array_equal(tasks[0].negatives, tasks[2].negatives)
+    for task in tasks:
+        assert task.pos_item_id not in task.negatives
 
 
 # -- ranking ----------------------------------------------------------------------
@@ -257,6 +340,31 @@ def test_evaluate_groups_by_domain_and_omits_empty():
     model = DisentangledGraphModel(graph, dim=4, layers=1, seed=17)
     reports = evaluate(model, tasks)
     assert [r.domain_id for r in reports] == [0]
+
+
+def test_blockwise_scores_equal_one_einsum(monkeypatch):
+    rng = np.random.default_rng(27)
+    split = synthetic_split(rng, num_users=45)
+    graph = build_graph(split.train)
+    tasks = build_eval_tasks(split, graph, seed=6)
+    model = DisentangledGraphModel(graph, dim=8, layers=2, seed=7)
+    scored = []
+
+    def keep_scores(scores):
+        scored.append(scores.copy())
+        return ranks_of_positives(scores)
+
+    monkeypatch.setattr(evaluation, "ranks_of_positives", keep_scores)
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK", 16)  # 45 tasks a domain: 16 + 16 + 13
+    reports = evaluate(model, tasks)
+    o_u, o_i = model.outputs()
+    for d, scores in enumerate(scored):
+        group = tasks[tasks.domain_id == d]
+        cands = np.column_stack((group.pos_item_id, group.negatives))
+        whole = np.einsum("nk,nck->nc", o_u[d][group.user_id], o_i[d][cands])
+        assert scores.tobytes() == whole.tobytes()
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK", 1000)
+    assert evaluate(model, tasks) == reports
 
 
 def test_evaluate_is_deterministic():

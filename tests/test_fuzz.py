@@ -31,7 +31,7 @@ from crossrec.graph import build_graph
 from crossrec.model import DisentangledGraphModel, load_checkpoint, save_checkpoint
 from crossrec.training import TrainConfig
 
-from helpers import random_graph
+from helpers import random_graph, reference_negatives
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=2000,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -216,13 +216,10 @@ def reference_tasks(train, test, item_names, seed, num_negatives):
     tasks = []
     for u, pos, d, _ in test:
         blocked = {r[1] for r in train if (r[0], r[2]) == (u, d)} | {pos}
-        eligible = np.array([i for i in range(len(item_names[d])) if i not in blocked],
-                            dtype=np.int64)
-        if len(eligible) < num_negatives:
+        if len(item_names[d]) - len(blocked) < num_negatives:
             continue
-        rng = np.random.default_rng([seed, EVAL_STREAM, d, u])
-        tasks.append((u, d, pos, rng.choice(eligible, size=num_negatives,
-                                            replace=False).tolist()))
+        tasks.append((u, d, pos, reference_negatives(seed, EVAL_STREAM, d, u, blocked,
+                                                     len(item_names[d]), num_negatives)))
     return tasks
 
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from crossrec.baselines import SyntheticSpec, generate_synthetic
 from crossrec.data import split_leave_latest
 from crossrec.graph import build_graph
 from crossrec.model import MODES, DisentangledGraphModel, load_checkpoint, save_checkpoint
@@ -377,8 +378,11 @@ def test_train_config_validation():
                     dict(domain_weights=[value, 1.0])):
             with pytest.raises(ValueError, match="finite"):
                 TrainConfig(**bad)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            TrainConfig(seed=seed)
     TrainConfig(beta1=0.0, beta2=0.0, triplets_per_epoch=None, eval_every=1,
-                num_eval_negatives=1, layers=1)
+                num_eval_negatives=1, layers=1, seed=2**64 - 1)
 
 
 def test_zero_lr_epoch_keeps_parameters():
@@ -466,6 +470,16 @@ def test_fit_with_validation_selects_best_epoch():
                          num_eval_negatives=3, triplets_per_epoch=32)
     result = fit(split, config)
     assert result.best_epoch in (2, 4, 6)
+
+
+def test_fit_with_validation_but_no_tasks_raises():
+    # 40 items a domain, 10 per user: no user leaves 99 eligible negatives
+    log, _ = generate_synthetic(SyntheticSpec(num_users=60, items_per_domain=40,
+                                              num_domains=2, seed=1))
+    config = TrainConfig(epochs=6, dim=8, seed=1, use_validation=True, eval_every=1,
+                         num_eval_negatives=99)
+    with pytest.raises(ValueError, match="no validation tasks"):
+        fit(split_leave_latest(log), config)
 
 
 def test_mf_mode_runs_through_fit():
