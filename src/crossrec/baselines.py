@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import InteractionLog, interaction_records
 from .graph import HeteroGraph
-from .model import Activations
+from .model import Activations, FlatModel
 from .numeric import check_seed
 
 logger = logging.getLogger(__name__)
@@ -26,7 +26,7 @@ MF_STREAM = 3
 GEN_STREAM = 4
 
 
-class MfModel:
+class MfModel(FlatModel):
     """Independent per-domain matrix factorization.
 
     Outputs are the embedding tables themselves; there is no parameter
@@ -51,8 +51,7 @@ class MfModel:
                     -bound, bound, size=(graph.num_users, dim))
                 params[f"item_emb/d{d}"] = rng.uniform(
                     -bound, bound, size=(graph.num_items_per_domain[d], dim))
-        self._validate(params)
-        self.params = params
+        super().__init__(params)
 
     def param_shapes(self):
         g = self.graph
@@ -62,18 +61,6 @@ class MfModel:
             shapes.append((f"item_emb/d{d}", (g.num_items_per_domain[d], self.dim)))
         return shapes
 
-    def delta_shapes(self) -> list:
-        """backward keeps no intermediate gradients."""
-        return []
-
-    def _validate(self, params):
-        expected = self.param_shapes()
-        if list(params.keys()) != [n for n, _ in expected]:
-            raise ValueError("parameter set mismatch for factorization model")
-        for name, shape in expected:
-            if params[name].shape != shape:
-                raise ValueError(f"param {name}: shape {params[name].shape}, want {shape}")
-
     def forward(self) -> Activations:
         acts = Activations()
         for d in range(self.graph.num_domains):
@@ -81,24 +68,19 @@ class MfModel:
             acts.o_i.append(self.params[f"item_emb/d{d}"])
         return acts
 
-    def backward(self, acts: Activations, do_u: list, do_i: list, grads: dict = None,
-                 scratch=None) -> dict:
-        """The output gradients are the table gradients. grads, when
-        given, holds zeroed buffers they are added into; scratch is
-        unused (nothing lies between the tables and the outputs)."""
+    def backward(self, acts: Activations, do_u: list, do_i: list) -> dict:
+        """The output gradients are the table gradients, added into the
+        zeroed gradient vector; returns a dict of views of it by name.
+        Nothing lies between the tables and the outputs, so the scratch
+        goes unused."""
         for d in range(self.graph.num_domains):
             if do_u[d].shape != acts.o_u[d].shape or do_i[d].shape != acts.o_i[d].shape:
                 raise ValueError(f"upstream gradient shape mismatch in domain {d}")
-        if grads is None:
-            grads = {name: np.zeros(shape) for name, shape in self.param_shapes()}
+        grads = self._zeroed_grads()
         for d in range(self.graph.num_domains):
             grads[f"user_emb/d{d}"] += do_u[d]
             grads[f"item_emb/d{d}"] += do_i[d]
         return grads
-
-    def outputs(self):
-        acts = self.forward()
-        return acts.o_u, acts.o_i
 
 
 @dataclass

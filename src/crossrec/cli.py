@@ -173,6 +173,15 @@ def _ensure_out(path: str) -> str:
     return path
 
 
+def _eval_tasks(split, graph, config: TrainConfig):
+    """The split's eval tasks; none at all is an error."""
+    tasks = build_eval_tasks(split, graph, seed=config.seed,
+                             num_negatives=config.num_eval_negatives)
+    if not len(tasks):
+        raise ValueError("no eval tasks could be built (candidate pools too small?)")
+    return tasks
+
+
 # -- commands ------------------------------------------------------------------
 
 
@@ -215,10 +224,7 @@ def cmd_eval(args) -> int:
     split = split_leave_latest(log)
     graph = build_graph(split.train)
     model = load_checkpoint(ckpt, graph)
-    tasks = build_eval_tasks(split, graph, seed=config.seed,
-                             num_negatives=config.num_eval_negatives)
-    if not len(tasks):
-        raise ValueError("no eval tasks could be built (candidate pools too small?)")
+    tasks = _eval_tasks(split, graph, config)
     reports = evaluate(model, tasks)
     print(format_metric_table(reports, domain_names=log.domain_names))
     if args.out:
@@ -276,13 +282,13 @@ def cmd_bench(args) -> int:
     results_path = os.path.join(out, "results.tsv")
     new_file = not os.path.exists(results_path)
     rows = []
-    with open(results_path, "a", encoding="utf-8") as fh:
-        if new_file:
-            fh.write("mode\tseed\tdomain\tusers\thr_at_10\tndcg_at_10\n")
-        for config in configs:
-            result = fit(split, config)
-            tasks = build_eval_tasks(split, result.graph, seed=config.seed,
-                                     num_negatives=config.num_eval_negatives)
+    for config in configs:
+        result = fit(split, config)
+        tasks = _eval_tasks(split, result.graph, config)
+        with open(results_path, "a", encoding="utf-8") as fh:
+            if new_file:
+                fh.write("mode\tseed\tdomain\tusers\thr_at_10\tndcg_at_10\n")
+                new_file = False
             for m in evaluate(result.model, tasks):
                 rows.append("\t".join(str(c) for c in (
                     config.mode, config.seed, m.domain_id, m.num_users, m.hr_at_10,

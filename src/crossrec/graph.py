@@ -69,13 +69,6 @@ class HeteroGraph:
         by (user, item)."""
         return self._edges[domain_id]
 
-    def user_items(self, domain_id: int, user: int) -> np.ndarray:
-        """Sorted items the user interacted with in the domain."""
-        offsets, items = self._csrs[domain_id]
-        if not 0 <= user < self.num_users:
-            raise ValueError(f"user {user} out of range for domain {domain_id}")
-        return items[offsets[user]:offsets[user + 1]]
-
     def has_edges(self, domain_id: int, users, items) -> np.ndarray:
         """Vectorized membership test for (user, item) pairs in a domain."""
         keys = self._keys[domain_id]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import atomic_open
 from .graph import HeteroGraph
-from .numeric import Scratch, check_finite, relu, relu_backward
+from .numeric import FlatArrays, Scratch, check_finite, relu, relu_backward
 
 # the paths of each mode, by kind; specific paths come first
 PATH_KINDS = {"full": ("spec", "shared"), "specific_only": ("spec",),
@@ -59,6 +59,72 @@ def init_params(seed: int, shapes) -> dict:
     return params
 
 
+def pack_params(shapes, params) -> FlatArrays:
+    """Copy ``params``, which must hold exactly the (name, shape) list
+    ``shapes`` in its order, into one vector."""
+    names = [n for n, _ in shapes]
+    if list(params) != names:
+        def some(found):  # a count and the first few names, kept on one line
+            if not found:
+                return "none"
+            more = ", ..." if len(found) > 5 else ""
+            return f"{len(found)} ({', '.join(map(repr, sorted(found)[:5]))}{more})"
+        raise ValueError(f"parameter set mismatch: missing {some(set(names) - set(params))}, "
+                         f"unexpected {some(set(params) - set(names))}")
+    for name, shape in shapes:
+        if params[name].shape != shape:
+            raise ValueError(f"param {name}: shape {params[name].shape}, want {shape}")
+    flat = FlatArrays(shapes)
+    for name, view in flat.views.items():
+        view[...] = params[name]
+    return flat
+
+
+class FlatModel:
+    """The step memory every trainable model owns.
+
+    ``param_vector`` holds the parameters in param_shapes() order and
+    ``params`` maps each name to a view of it. The mapping is read-only
+    and the attribute cannot be rebound, so a parameter changes only by
+    writing into its view, and the L2 term, Adam and checkpoints, which
+    read the vector, always see what the forward pass used.
+    ``grad_vector`` has the same layout and holds the last backward's
+    gradients. ``scratch`` is lent to the BPR step and then to the
+    backward's deltas, which are never live at once. It starts empty,
+    and a Trainer sizes it, so a model that is only evaluated holds
+    none: a presized block would sit in the heap unused and push the
+    evaluation's arrays into fresh memory.
+    """
+
+    def __init__(self, params: dict):
+        shapes = self.param_shapes()
+        self._params = pack_params(shapes, params)
+        self._grads = FlatArrays(shapes)
+        self.scratch = Scratch()
+
+    @property
+    def params(self):
+        return self._params.views
+
+    @property
+    def param_vector(self) -> np.ndarray:
+        return self._params.data
+
+    @property
+    def grad_vector(self) -> np.ndarray:
+        return self._grads.data
+
+    def _zeroed_grads(self) -> dict:
+        """Zero the gradient vector; a new dict of views of it by name."""
+        self._grads.data.fill(0.0)
+        return dict(self._grads.views)
+
+    def outputs(self):
+        """(o_u, o_i) lists without keeping the caches."""
+        acts = self.forward()
+        return acts.o_u, acts.o_i
+
+
 @dataclass
 class PathCache:
     """Forward caches of one conv path: a kind over a tuple of domains.
@@ -88,7 +154,7 @@ class Activations:
     o_i: list = field(default_factory=list)  # [d] item outputs
 
 
-class DisentangledGraphModel:
+class DisentangledGraphModel(FlatModel):
     """Two-path graph conv model over a frozen HeteroGraph.
 
     mode selects which paths exist: "full" (both), "specific_only"
@@ -125,8 +191,7 @@ class DisentangledGraphModel:
                 self.paths.append((kind, all_domains))
         if params is None:
             params = init_params(seed, self.param_shapes())
-        self._validate_params(params)
-        self.params = params
+        super().__init__(params)
 
     # -- parameter layout -------------------------------------------------
 
@@ -169,21 +234,6 @@ class DisentangledGraphModel:
             shapes += [(g.num_users, k)] * (L + 1)
             shapes += [(g.num_items_per_domain[d], k) for _ in range(L + 1) for d in domains]
         return shapes
-
-    def _validate_params(self, params: dict) -> None:
-        expected = self.param_shapes()
-        names = [n for n, _ in expected]
-        if list(params.keys()) != names:
-            def some(found):  # a count and the first few names, kept on one line
-                if not found:
-                    return "none"
-                more = ", ..." if len(found) > 5 else ""
-                return f"{len(found)} ({', '.join(map(repr, sorted(found)[:5]))}{more})"
-            raise ValueError(f"parameter set mismatch: missing {some(set(names) - set(params))}, "
-                             f"unexpected {some(set(params) - set(names))}")
-        for name, shape in expected:
-            if params[name].shape != shape:
-                raise ValueError(f"param {name}: shape {params[name].shape}, want {shape}")
 
     # -- the relational conv -------------------------------------------------
 
@@ -259,25 +309,19 @@ class DisentangledGraphModel:
             acts.o_i.append(o_i)
         return acts
 
-    def outputs(self):
-        """(o_u, o_i) lists without keeping the caches."""
-        acts = self.forward()
-        return acts.o_u, acts.o_i
-
     # -- backward ----------------------------------------------------------
 
-    def backward(self, acts: Activations, do_u: list, do_i: list, grads: dict = None,
-                 scratch: Scratch = None) -> dict:
+    def backward(self, acts: Activations, do_u: list, do_i: list) -> dict:
         """Exact gradients of a scalar objective w.r.t. every parameter.
 
         do_u[d]/do_i[d] are the objective's gradients at the fused
         outputs. Within a layer, gradients accumulate path by path in
         path order and, within a path, domain by domain ascending.
 
-        grads, when given, holds one zeroed buffer per parameter name
-        that the gradients are added into; without it they go into new
-        arrays. The gradients at each path's cached representations are
-        taken from ``scratch`` (a new one without it) and zeroed.
+        The gradients are added into the zeroed gradient vector, and
+        the returned dict holds views of it by name. The gradients
+        at each path's cached representations are taken from the
+        scratch and zeroed.
         """
         P, L, D = self.params, self.layers, self.graph.num_domains
         if len(acts.o_u) != D or len(acts.paths) != len(self.paths):
@@ -286,9 +330,8 @@ class DisentangledGraphModel:
             if do_u[d].shape != acts.o_u[d].shape or do_i[d].shape != acts.o_i[d].shape:
                 raise ValueError(f"upstream gradient shape mismatch in domain {d}")
 
-        if grads is None:
-            grads = {name: np.zeros(shape) for name, shape in self.param_shapes()}
-        taken = (scratch or Scratch()).take(*self.delta_shapes())
+        grads = self._zeroed_grads()
+        taken = self.scratch.take(*self.delta_shapes())
         for x in taken:
             x.fill(0.0)
         taken = iter(taken)
@@ -360,7 +403,7 @@ def load_checkpoint(path: str, graph: HeteroGraph):
     order, shapes, and finiteness.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())  # slices of it copy nothing
     pos = 0
 
     def take(n):
@@ -385,10 +428,10 @@ def load_checkpoint(path: str, graph: HeteroGraph):
     params = {}
     for _ in range(n_params):
         name_len = struct.unpack("<H", take(2))[0]
-        name = take(name_len).decode("utf-8")
+        name = bytes(take(name_len)).decode("utf-8")
         rows, cols = struct.unpack("<II", take(8))
         data = np.frombuffer(take(8 * rows * cols), dtype="<f8")
-        params[name] = check_finite(data.reshape(rows, cols).copy(), name)
+        params[name] = check_finite(data.reshape(rows, cols), name)
     if pos != len(blob):
         raise ValueError(f"{path}: trailing bytes after checkpoint")
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -150,13 +151,14 @@ class FlatArrays:
 
     ``views[name]`` is a view of ``data`` with the given shape, laid out
     in the order of ``shapes``, so one call on ``data`` acts on every
-    array at once.
+    array at once. ``views`` is read-only: an entry replaced by another
+    array would no longer be part of ``data``.
     """
 
     def __init__(self, shapes):
         self.data = np.zeros(sum(math.prod(shape) for _, shape in shapes))
-        self.views = dict(zip([name for name, _ in shapes],
-                              packed_views(self.data, [shape for _, shape in shapes])))
+        self.views = MappingProxyType(dict(zip(
+            [name for name, _ in shapes], packed_views(self.data, [shape for _, shape in shapes]))))
 
 
 class Scratch:
@@ -166,11 +168,11 @@ class Scratch:
     it grows when too small, so they overlap what earlier takes
     returned: a caller may use what it took only until the next take.
     Phases of a step that never overlap thus share one block of memory.
-    The buffer starts sized for ``shapes``.
+    The buffer starts empty.
     """
 
-    def __init__(self, *shapes):
-        self.data = np.empty(sum(math.prod(shape) for shape in shapes))
+    def __init__(self):
+        self.data = np.empty(0)
 
     def take(self, *shapes) -> list:
         size = sum(math.prod(shape) for shape in shapes)

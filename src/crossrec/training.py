@@ -1,12 +1,12 @@
 """BPR training loop: triplet sampling, the ranking loss with L2
 regularization, per-domain weighting, and Adam updates.
 
-Every model trained here exposes the same interface (params dict,
-forward() -> activations with o_u/o_i, backward(acts, do_u, do_i,
-grads, scratch) -> grads, delta_shapes()), so the graph model, its
-ablations, and the factorization baseline all run through this exact
-code path. A Trainer keeps the parameters, gradients and Adam moments
-in flat vectors and reuses one step workspace, so a step allocates
+Every model trained here exposes the same interface (params,
+forward() -> activations with o_u/o_i, backward(acts, do_u, do_i) ->
+grads), so the graph model, its ablations, and the factorization
+baseline all run through this exact code path. Each model owns its
+parameter vector, gradient vector and scratch (model.FlatModel); a
+Trainer adds the Adam moments in the same layout, so a step allocates
 little beyond the forward pass's caches.
 """
 
@@ -24,8 +24,8 @@ from .data import SplitResult, split_leave_latest
 from .evaluation import build_eval_tasks, evaluate
 from .graph import HeteroGraph, build_graph
 from .model import DisentangledGraphModel
-from .numeric import (AdamState, FlatArrays, Scratch, adam_step, check_seed,
-                      finite_diff_grad, gather_rows, scatter_rows)
+from .numeric import (AdamState, Scratch, adam_step, check_seed, finite_diff_grad,
+                      gather_rows, scatter_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -163,18 +163,17 @@ def bpr_loss_grad(x_pos, x_neg) -> np.ndarray:
     return -expit(-z)
 
 
-def bpr_domain_step(o_u, o_i, batch: TripletBatch, beta: float, scratch: Scratch = None):
+def bpr_domain_step(o_u, o_i, batch: TripletBatch, beta: float, scratch: Scratch):
     """Fused BPR step of one domain on its output tables.
 
     Gathers each operand once, scores both sides, and scatters the
     gradient of beta * mean BPR back to the tables. Returns (x_pos,
     x_neg, do_u, do_i), all new arrays. The users' rows and a (2n, k)
-    block are taken from ``scratch`` (a new one without it): the block
-    holds the positives' and negatives' rows, then the item gradient
-    rows in the same halves.
+    block are taken from ``scratch``: the block holds the positives'
+    and negatives' rows, then the item gradient rows in the same halves.
     """
     n, k = len(batch), o_u.shape[1]
-    u_rows, block = (scratch or Scratch()).take((n, k), (2 * n, k))
+    u_rows, block = scratch.take((n, k), (2 * n, k))
     top, bottom = block[:n], block[n:]
     gather_rows(o_u, batch.users, u_rows)
     pos_rows = gather_rows(o_i, batch.pos_items, top)
@@ -193,43 +192,17 @@ def bpr_domain_step(o_u, o_i, batch: TripletBatch, beta: float, scratch: Scratch
     return x_pos, x_neg, do_u, do_i
 
 
-class StepWorkspace:
-    """The buffers one training step writes into.
-
-    grads packs one gradient array per parameter into a single vector
-    (param_shapes() order). scratch serves the BPR step's rows and then
-    the backward pass's deltas, which are never live at once, so they
-    share its memory; it starts sized for the deltas, so it grows only
-    for a BPR batch that needs more. params is the flat vector the
-    model's parameters are views of, when they are (a Trainer's);
-    without it the L2 term reads a packed copy.
-    """
-
-    def __init__(self, model, params: np.ndarray = None):
-        self.grads = FlatArrays(model.param_shapes())
-        self.params = params
-        self.scratch = Scratch(*model.delta_shapes())
-
-    def param_vector(self, model) -> np.ndarray:
-        if self.params is not None:
-            return self.params
-        return np.concatenate([p.ravel() for p in model.params.values()])
-
-
 def compute_loss_and_grads(model, batches: dict, lambda_reg: float,
-                           betas: list, reg_per_domain: bool = False,
-                           workspace: StepWorkspace = None):
+                           betas: list, reg_per_domain: bool = False):
     """Total weighted loss and gradients for one step.
 
     batches maps domain_id -> TripletBatch. Returns (total_loss,
     per-domain mean BPR dict, grads dict). The L2 penalty enters the
     total once; with reg_per_domain it is scaled by sum(beta_d) instead,
     matching a per-domain reading of the objective. The gradients are
-    views into ``workspace``: a Trainer passes its own, which the next
-    step overwrites; without one each call makes a new workspace, so
-    the gradients it returns are never overwritten.
+    views of the model's gradient vector, which the next call
+    overwrites.
     """
-    ws = workspace if workspace is not None else StepWorkspace(model)
     acts = model.forward()
     domain_losses = {}
     do_u, do_i = {}, {}  # output gradients of the domains with a batch
@@ -239,21 +212,20 @@ def compute_loss_and_grads(model, batches: dict, lambda_reg: float,
         if len(batch) == 0:
             raise ValueError(f"empty triplet batch for domain {d}")
         x_pos, x_neg, do_u[d], do_i[d] = bpr_domain_step(acts.o_u[d], acts.o_i[d],
-                                                         batch, betas[d], ws.scratch)
+                                                         batch, betas[d], model.scratch)
         mean_bpr = float(np.mean(bpr_loss(x_pos, x_neg)))
         domain_losses[d] = mean_bpr
         total += betas[d] * mean_bpr
     if not np.isfinite(total):
         raise RuntimeError(f"non-finite loss: total={total}, per-domain={domain_losses}; "
                            "check inputs or lower the learning rate")
-    ws.grads.data.fill(0.0)
     grads = model.backward(acts, [do_u.get(d, np.zeros_like(o)) for d, o in enumerate(acts.o_u)],
-                           [do_i.get(d, np.zeros_like(o)) for d, o in enumerate(acts.o_i)],
-                           grads=ws.grads.views, scratch=ws.scratch)
+                           [do_i.get(d, np.zeros_like(o)) for d, o in enumerate(acts.o_i)])
     if lambda_reg:
         reg_scale = lambda_reg * (sum(betas[d] for d in batches) if reg_per_domain else 1.0)
         total += reg_scale * float(sum(np.sum(p * p) for p in model.params.values()))
-        ws.grads.data += 2.0 * reg_scale * ws.param_vector(model)
+        grad_vector = model.grad_vector
+        grad_vector += 2.0 * reg_scale * model.param_vector
     return total, domain_losses, grads
 
 
@@ -276,15 +248,10 @@ def format_epoch_line(report: EpochReport, num_domains: int) -> str:
 
 
 class Trainer:
-    """Owns the parameters' flat vector, the optimizer state, the step's
-    buffers and the per-domain sampling streams.
+    """Owns the optimizer state and the per-domain sampling streams.
 
-    The model's parameters are copied into one contiguous vector, and
-    model.params[name] becomes a view of it, so one Adam call updates
-    them all in place. The gradients and both Adam moments share that
-    layout. Replacing a model.params entry detaches it from the vector,
-    so train_epoch refuses to step after that; write into the array
-    instead.
+    Both Adam moments share the layout of the model's parameter and
+    gradient vectors, so one Adam call updates every parameter in place.
     """
 
     def __init__(self, model, config: TrainConfig):
@@ -292,16 +259,15 @@ class Trainer:
         self.config = config
         self.graph = model.graph
         self.betas = resolve_domain_weights(self.graph, config.domain_weights)
-        self.params = FlatArrays(model.param_shapes())
-        for name, view in self.params.views.items():
-            view[...] = model.params[name]
-        model.params.update(self.params.views)
-        self.adam = AdamState.for_param(self.params.data, lr=config.lr, beta1=config.beta1,
+        self.adam = AdamState.for_param(model.param_vector, lr=config.lr, beta1=config.beta1,
                                         beta2=config.beta2, eps=config.eps)
-        self.workspace = StepWorkspace(model, self.params.data)
         self.rngs = [np.random.default_rng([config.seed, TRIPLET_STREAM, d])
                      for d in range(self.graph.num_domains)]
         self.epoch = 0
+        # size the scratch for the backward's deltas (graph models keep
+        # some) now rather than in the first step: on M that halves an
+        # epoch's page faults in a fresh process
+        model.scratch.take(*getattr(model, "delta_shapes", list)())
 
     def _sample_all(self) -> dict:
         batches = {}
@@ -310,24 +276,14 @@ class Trainer:
             batches[d] = sample_triplets(self.graph, d, n, self.rngs[d])
         return batches
 
-    def _check_params(self) -> None:
-        for name, view in self.params.views.items():
-            if self.model.params.get(name) is not view:
-                raise RuntimeError(
-                    f"model.params[{name!r}] was replaced by an array outside the "
-                    f"trainer's parameter vector; assign into model.params[{name!r}][...] "
-                    "instead")
-
     def train_epoch(self) -> EpochReport:
         t0 = time.perf_counter()
         cfg = self.config
-        self._check_params()
         batches = self._sample_all()
         total, domain_losses, _ = compute_loss_and_grads(
-            self.model, batches, cfg.lambda_reg, self.betas, cfg.reg_per_domain,
-            self.workspace)
-        flat = self.params.data
-        adam_step(flat, self.workspace.grads.data, self.adam, out=flat)
+            self.model, batches, cfg.lambda_reg, self.betas, cfg.reg_per_domain)
+        flat = self.model.param_vector
+        adam_step(flat, self.model.grad_vector, self.adam, out=flat)
         if not np.isfinite(total):
             raise RuntimeError(
                 f"non-finite loss at epoch {self.epoch}: total={total}, "
@@ -389,11 +345,11 @@ def fit(split: SplitResult, config: TrainConfig, log_stream=None) -> FitResult:
             metrics = evaluate(model, val_tasks)
             mean_ndcg = float(np.mean([m.ndcg_at_10 for m in metrics]))
             if best is None or mean_ndcg > best[0]:
-                best = (mean_ndcg, report.epoch, trainer.params.data.copy())
+                best = (mean_ndcg, report.epoch, model.param_vector.copy())
     best_epoch = None
     if best is not None:
         best_epoch = best[1]
-        trainer.params.data[...] = best[2]
+        model.param_vector[...] = best[2]
     return FitResult(model=model, graph=graph, reports=reports, best_epoch=best_epoch)
 
 
@@ -407,9 +363,11 @@ def gradient_check(model, batches: dict, betas: list, lambda_reg: float = 1e-3,
     raw ratio would measure noise, not correctness. corrupt_param
     deliberately breaks one gradient as a negative control.
     """
-    total, _, grads = compute_loss_and_grads(model, batches, lambda_reg, betas)
+    # a copy, since every objective call below overwrites the model's gradients
+    grads = {name: g.copy() for name, g in
+             compute_loss_and_grads(model, batches, lambda_reg, betas)[2].items()}
     if corrupt_param is not None:
-        grads[corrupt_param] = grads[corrupt_param] + 1.0
+        grads[corrupt_param] += 1.0
 
     def objective(_p):
         return compute_loss_and_grads(model, batches, lambda_reg, betas)[0]

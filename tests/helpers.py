@@ -20,6 +20,12 @@ def make_log(edges, num_users, items_per_domain):
                          num_users, items_per_domain)
 
 
+def csr_row(graph, d, u):
+    """User u's sorted items in domain d: a slice of the domain's CSR."""
+    offsets, items = graph.csr(d)
+    return items[offsets[u]:offsets[u + 1]]
+
+
 def random_graph(rng, num_users, items_per_domain, num_edges):
     """Random simple bipartite multi-domain graph and its log; every
     domain gets at least one edge."""

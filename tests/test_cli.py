@@ -210,8 +210,9 @@ def test_failed_writes_keep_earlier_artifacts(tmp_path, tiny_tsv, monkeypatch, c
     assert main(["train", "--config", train_cfg(tmp_path), "--data", tiny_tsv,
                  "--out", str(out)]) == 1
     model = load_checkpoint(ckpt, build_graph(split_leave_latest(parse_log(tiny_tsv)).train))
-    model.params[next(reversed(model.params))] = None  # fails after the header
-    with pytest.raises(AttributeError):
+    shapes = model.param_shapes() + [("missing", (1, 1))]
+    monkeypatch.setattr(model, "param_shapes", lambda: shapes)  # fails after every array
+    with pytest.raises(KeyError):
         save_checkpoint(model, ckpt)
     report = SimpleNamespace(domain_id=0, num_users=1, hr_at_10=1.0, ndcg_at_10=1.0)
     with pytest.raises(AttributeError):  # after the first report's lines
@@ -465,3 +466,16 @@ def test_bench_appends_results(tmp_path, capsys):
     assert rc == 0
     lines = open(os.path.join(out, "results.tsv")).read().strip().splitlines()
     assert len(lines) == 9  # appended, single header
+
+
+def test_bench_without_tasks_is_an_error(tmp_path, tiny_tsv, capsys):
+    # 3 items per domain cannot give the default 99 negatives
+    bench_cfg = tmp_path / "bench.cfg"
+    bench_cfg.write_text("modes=full\nseeds=0\nepochs=2\ndim=4\nlayers=1\n")
+    out = tmp_path / "bench"
+    rc = main(["bench", "--config", str(bench_cfg), "--data", tiny_tsv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: no eval tasks could be built (candidate pools too small?)\n"
+    assert not (out / "results.tsv").exists()

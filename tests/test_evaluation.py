@@ -21,7 +21,7 @@ from crossrec.evaluation import (
 from crossrec.graph import build_graph
 from crossrec.model import DisentangledGraphModel
 
-from helpers import make_log, random_graph, reference_negatives, tiny_overfit_log
+from helpers import csr_row, make_log, random_graph, reference_negatives, tiny_overfit_log
 
 NDCG_AT_RANK_10 = 0.28906482631788785  # 1 / log2(11)
 
@@ -53,7 +53,7 @@ def test_tasks_satisfy_protocol_invariants():
         assert len(task.negatives) == 99
         assert len(set(task.negatives.tolist())) == 99
         assert task.pos_item_id not in task.negatives
-        train_items = set(graph.user_items(task.domain_id, task.user_id).tolist())
+        train_items = set(csr_row(graph, task.domain_id, task.user_id).tolist())
         assert not (set(task.negatives.tolist()) & train_items)
 
 
@@ -181,7 +181,7 @@ def test_repeated_users_get_one_task_per_record():
     graph = build_graph(split.train)
     rec = split.test[:1]
     twin = rec.copy()
-    twin.item_id = next(i for i in range(120) if i not in graph.user_items(0, rec.user_id[0])
+    twin.item_id = next(i for i in range(120) if i not in csr_row(graph, 0, rec.user_id[0])
                         and i != rec.item_id[0])
     test = np.concatenate([rec, twin, rec]).view(np.recarray)
     tasks = build_eval_tasks(replace(split, test=test), graph, seed=4)

@@ -8,7 +8,7 @@ import pytest
 from crossrec.data import InteractionLog, interaction_records
 from crossrec.graph import build_graph
 
-from helpers import make_log
+from helpers import csr_row, make_log
 
 
 def random_log(rng, num_users=12, items_per_domain=(9, 7), num_edges=60):
@@ -28,10 +28,10 @@ def test_build_graph_direct_enumeration():
     # user0-itemA(dom0), user0-itemB(dom1), user1-itemA(dom0)
     log = make_log([(0, 0, 0), (0, 0, 1), (1, 0, 0)], 2, [1, 1])
     g = build_graph(log)
-    assert list(g.user_items(0, 0)) == [0]
-    assert list(g.user_items(0, 1)) == [0]
-    assert list(g.user_items(1, 0)) == [0]
-    assert list(g.user_items(1, 1)) == []
+    assert list(csr_row(g, 0, 0)) == [0]
+    assert list(csr_row(g, 0, 1)) == [0]
+    assert list(csr_row(g, 1, 0)) == [0]
+    assert list(csr_row(g, 1, 1)) == []
     users, items = g.edge_arrays(0)
     assert list(users[items == 0]) == [0, 1]
 
@@ -41,7 +41,7 @@ def test_empty_domain_gives_zero_offsets():
     # domain 1 has items registered but no edges
     g = build_graph(log)
     assert g.num_edges(1) == 0
-    assert len(g.user_items(1, 0)) == 0
+    assert len(csr_row(g, 1, 0)) == 0
     assert all(len(a) == 0 for a in g.edge_arrays(1))
     to_users, to_items = g.aggregators(1)
     assert np.array_equal(to_users.apply(np.ones((3, 2))), np.zeros((1, 2)))
@@ -57,7 +57,7 @@ def test_ui_is_transpose_of_iu():
     for d in range(3):
         pairs_iu = set()
         for u in range(g.num_users):
-            for i in g.user_items(d, u):
+            for i in csr_row(g, d, u):
                 pairs_iu.add((u, int(i)))
         # the item-major operator applied to one-hot user rows gives the
         # item x user incidence, row by row
@@ -77,7 +77,7 @@ def test_neighbors_match_raw_edge_list():
     for rec in log.interactions:
         raw.setdefault((rec.user_id, rec.domain_id), []).append(rec.item_id)
     for (u, d), items in raw.items():
-        got = list(g.user_items(d, u))
+        got = list(csr_row(g, d, u))
         assert sorted(items) == got  # sorted CSR canonical form
 
 
@@ -104,14 +104,6 @@ def test_canonical_under_permutation():
             src_u, src_i = rows[:a.num_items_per_domain[d]], rows[:a.num_users]
             assert np.array_equal(aa.to_users.apply(src_u), ba.to_users.apply(src_u))
             assert np.array_equal(aa.to_items.apply(src_i), ba.to_items.apply(src_i))
-
-
-def test_neighbors_out_of_range():
-    g = build_graph(make_log([(0, 0, 0)], 1, [1]))
-    with pytest.raises(ValueError):
-        g.user_items(0, 5)
-    with pytest.raises(ValueError):
-        g.user_items(0, -1)
 
 
 def test_build_rejects_out_of_range_ids():
@@ -165,7 +157,7 @@ def test_edge_arrays_align_with_csr():
         assert not users.flags.writeable and not items.flags.writeable
         assert np.all(np.diff(users * g.num_items_per_domain[d] + items) > 0)
         for u, i in zip(users[:20], items[:20]):
-            assert i in g.user_items(d, int(u))
+            assert i in csr_row(g, d, int(u))
 
 
 def test_build_graph_empty_log_errors():

@@ -13,7 +13,7 @@ from crossrec.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from crossrec.numeric import finite_diff_grad
+from crossrec.numeric import Scratch, finite_diff_grad
 from crossrec.training import TripletBatch, bpr_domain_step
 
 from helpers import make_log, oracle_forward, random_graph
@@ -33,7 +33,7 @@ def set_identity_weights(model):
     for name in model.params:
         if name == "user_emb" or name.startswith("item_emb"):
             continue
-        model.params[name] = np.eye(model.dim)
+        model.params[name][...] = np.eye(model.dim)
 
 
 # -- forward -----------------------------------------------------------------
@@ -60,8 +60,8 @@ def test_one_layer_identity_weights_sums_self_and_neighbor():
     rng = np.random.default_rng(4)
     e_u = rng.uniform(0.1, 1.0, size=(1, 4))
     e_i = rng.uniform(0.1, 1.0, size=(1, 4))
-    model.params["user_emb"] = e_u.copy()
-    model.params["item_emb/d0"] = e_i.copy()
+    model.params["user_emb"][...] = e_u
+    model.params["item_emb/d0"][...] = e_i
     o_u, o_i = model.outputs()
     assert np.allclose(o_u[0], e_u + e_i, atol=1e-14)
     assert np.allclose(o_i[0], e_u + e_i, atol=1e-14)
@@ -78,9 +78,9 @@ def test_shared_layer_sums_across_domains():
     e_u = rng.uniform(0.1, 1.0, size=(1, 3))
     e_a = rng.uniform(0.1, 1.0, size=(1, 3))
     e_b = rng.uniform(0.1, 1.0, size=(1, 3))
-    model.params["user_emb"] = e_u.copy()
-    model.params["item_emb/d0"] = e_a.copy()
-    model.params["item_emb/d1"] = e_b.copy()
+    model.params["user_emb"][...] = e_u
+    model.params["item_emb/d0"][...] = e_a
+    model.params["item_emb/d1"][...] = e_b
     o_u, _ = model.outputs()
     assert np.allclose(o_u[0], e_u + e_a + e_b, atol=1e-14)
     assert np.allclose(o_u[1], e_u + e_a + e_b, atol=1e-14)
@@ -150,7 +150,7 @@ def test_output_fusion_matches_cached_reps():
 def test_output_identity_transform_is_plain_sum():
     model = small_model(seed=11)
     for d in range(model.graph.num_domains):
-        model.params[f"out/d{d}"] = np.eye(model.dim)
+        model.params[f"out/d{d}"][...] = np.eye(model.dim)
     acts = model.forward()
     L = model.layers
     for d in range(model.graph.num_domains):
@@ -165,7 +165,7 @@ def fused_scores(o_u, o_i, users, pos, neg=None):
     """(x_pos, x_neg) of the fused BPR step; neg defaults to pos."""
     neg = pos if neg is None else neg
     batch = TripletBatch(0, np.asarray(users), np.asarray(pos), np.asarray(neg))
-    x_pos, x_neg, _, _ = bpr_domain_step(o_u, o_i, batch, 1.0)
+    x_pos, x_neg, _, _ = bpr_domain_step(o_u, o_i, batch, 1.0, Scratch())
     return x_pos, x_neg
 
 
@@ -261,8 +261,8 @@ def test_single_edge_identity_init_item_gradient():
     graph = build_graph(log)
     model = DisentangledGraphModel(graph, dim=3, layers=1, mode="specific_only", seed=17)
     set_identity_weights(model)
-    model.params["user_emb"] = np.full((1, 3), 0.5)
-    model.params["item_emb/d0"] = np.full((1, 3), 0.25)
+    model.params["user_emb"][...] = np.full((1, 3), 0.5)
+    model.params["item_emb/d0"][...] = np.full((1, 3), 0.25)
 
     def objective(_p):
         o_u, o_i = model.outputs()
@@ -296,11 +296,11 @@ def test_tied_weights_share_gradient_slots():
                                   tie_relation_weights=True, seed=20)
     untied = DisentangledGraphModel(graph, dim=4, layers=2, mode="full", seed=21)
     for name in tied.params:
-        untied.params[name] = tied.params[name].copy()
+        untied.params[name][...] = tied.params[name]
     for l in range(2):
         for d in range(2):
-            untied.params[f"shared_iu/l{l}/d{d}"] = tied.params[f"spec_iu/l{l}/d{d}"].copy()
-            untied.params[f"shared_ui/l{l}/d{d}"] = tied.params[f"spec_ui/l{l}/d{d}"].copy()
+            untied.params[f"shared_iu/l{l}/d{d}"][...] = tied.params[f"spec_iu/l{l}/d{d}"]
+            untied.params[f"shared_ui/l{l}/d{d}"][...] = tied.params[f"spec_ui/l{l}/d{d}"]
 
     acts_t = tied.forward()
     acts_u = untied.forward()

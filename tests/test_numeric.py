@@ -249,7 +249,8 @@ def test_flat_arrays_are_views_in_order():
 
 
 def test_scratch_takes_overlap_and_grow():
-    scratch = Scratch((2, 3))
+    scratch = Scratch()
+    assert scratch.data.size == 0
     a, b = scratch.take((2, 2), (2,))
     assert scratch.data.size == 6
     assert np.shares_memory(a, scratch.data) and np.shares_memory(b, scratch.data)

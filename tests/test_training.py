@@ -183,6 +183,8 @@ def test_fused_step_is_bitwise_add_at_reference(mode):
         if trial == 4:
             del batches[0]  # a domain without a batch gets zero output gradients
         got = compute_loss_and_grads(model, batches, 1e-3, [0.3, 0.7])
+        # a copy: the reference's backward overwrites the model's gradients
+        got = got[:2] + ({name: g.copy() for name, g in got[2].items()},)
         want = add_at_loss_and_grads(model, batches, 1e-3, [0.3, 0.7])
         assert got[0] == want[0]
         assert got[1] == want[1]
@@ -207,8 +209,9 @@ def allocating_adam_step(param, grad, state):
 
 def reference_epochs(graph, config):
     """Trainer's epochs rebuilt from allocating parts: the same sampling
-    streams, the np.add.at loss side with a backward into new arrays,
-    and one Adam call per parameter. Yields the parameters per epoch."""
+    streams, the np.add.at loss side, and one Adam call per parameter
+    into new arrays, copied into the model's views. Yields the
+    parameters per epoch."""
     model = make_model(graph, config)
     betas = resolve_domain_weights(graph, config.domain_weights)
     states = {name: AdamState.for_param(p, lr=config.lr, beta1=config.beta1,
@@ -222,8 +225,8 @@ def reference_epochs(graph, config):
                    for d in range(graph.num_domains)}
         _, _, grads = add_at_loss_and_grads(model, batches, config.lambda_reg, betas)
         for name, _ in model.param_shapes():
-            model.params[name] = allocating_adam_step(model.params[name], grads[name],
-                                                      states[name])
+            model.params[name][...] = allocating_adam_step(model.params[name], grads[name],
+                                                           states[name])
         yield model.params
 
 
@@ -259,39 +262,56 @@ def test_trainer_is_bitwise_allocating_reference(mode, tie, mean, layers, triple
             assert np.array_equal(trainer.model.params[name], p), (epoch, name)
     # domain 0's batches lost triplets and used a prefix of the scratch;
     # 100 triplets a domain grew it past the backward's need
-    scratch = trainer.workspace.scratch.data.size
+    scratch = trainer.model.scratch.data.size
     first = sample_triplets(graph, 0, triplets or graph.num_edges(0),
                             np.random.default_rng([7, TRIPLET_STREAM, 0]))
     assert len(first) < (triplets or graph.num_edges(0))
     assert 3 * len(first) * config.dim < scratch
     if triplets is not None:
-        deltas = sum(math.prod(s) for s in trainer.model.delta_shapes())
-        assert scratch == 3 * triplets * config.dim > deltas
+        assert scratch == 3 * triplets * config.dim
         assert triplets > max(graph.num_edges(d) for d in range(3))
+        if mode != "mf":
+            assert scratch > sum(math.prod(s) for s in trainer.model.delta_shapes())
 
 
-def test_gradients_without_workspace_never_share_memory():
-    graph, _, model = small_setup(seed=18)
+@pytest.mark.parametrize("mode", ["full", "mf"])
+def test_gradients_are_views_of_the_model_gradient_vector(mode):
+    rng = np.random.default_rng(18)
+    graph, _ = random_graph(rng, 8, (6, 5), 20)
+    model = make_model(graph, TrainConfig(dim=4, layers=2, mode=mode, seed=68))
     batches = {d: sample_triplets(graph, d, 10, np.random.default_rng([18, d]))
                for d in range(2)}
     _, _, first = compute_loss_and_grads(model, batches, 1e-3, [0.5, 0.5])
-    kept = {name: g.copy() for name, g in first.items()}
-    _, _, second = compute_loss_and_grads(model, batches, 1e-3, [0.5, 0.5])
-    for name in first:
-        assert not np.shares_memory(first[name], second[name]), name
-        assert np.array_equal(first[name], kept[name]), name
+    assert list(first) == [name for name, _ in model.param_shapes()]
+    for name, g in first.items():
+        assert np.shares_memory(g, model.grad_vector), name
+    assert model.grad_vector.any()
+    acts = model.forward()
+    second = model.backward(acts, [np.zeros_like(o) for o in acts.o_u],
+                            [np.zeros_like(o) for o in acts.o_i])
+    for name, g in second.items():
+        assert np.shares_memory(g, model.grad_vector), name
+    # zero upstream gradients overwrite the one vector, and with it the first views
+    assert not model.grad_vector.any() and not any(g.any() for g in first.values())
 
 
 def test_trainer_refuses_a_replaced_parameter():
     graph, _, model = small_setup(seed=19)
+    bare = [DisentangledGraphModel(graph, dim=4, layers=1, seed=3),
+            make_model(graph, TrainConfig(dim=4, mode="mf"))]
     trainer = Trainer(model, TrainConfig(epochs=2, dim=4, seed=1))
     trainer.train_epoch()
     model.params["user_emb"][0, 0] = 0.5  # writing into the view is fine
+    assert model.param_vector[0] == 0.5
     trainer.train_epoch()
-    assert trainer.params.data[0] == model.params["user_emb"][0, 0]
-    model.params["user_emb"] = model.params["user_emb"].copy()
-    with pytest.raises(RuntimeError, match="model.params\\['user_emb'\\] was replaced"):
-        trainer.train_epoch()
+    for m in (*bare, trainer.model):
+        name = next(iter(m.params))
+        before = m.params[name]
+        with pytest.raises(TypeError):
+            m.params[name] = before.copy()
+        with pytest.raises(AttributeError):
+            m.params = dict(m.params)
+        assert m.params[name] is before and np.shares_memory(before, m.param_vector)
     assert trainer.epoch == 2
 
 
@@ -340,7 +360,7 @@ def test_one_adam_step_decreases_loss_for_most_seeds():
         before, _, grads = compute_loss_and_grads(model, batches, 0.0, [0.5, 0.5])
         states = {n: AdamState.for_param(p, lr=1e-4) for n, p in model.params.items()}
         for name in model.params:
-            model.params[name] = adam_step(model.params[name], grads[name], states[name])
+            model.params[name][...] = adam_step(model.params[name], grads[name], states[name])
         after, _, _ = compute_loss_and_grads(model, batches, 0.0, [0.5, 0.5])
         wins += after <= before
     assert wins >= 95
