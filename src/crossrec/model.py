@@ -89,11 +89,10 @@ class FlatModel:
     writing into its view, and the L2 term, Adam and checkpoints, which
     read the vector, always see what the forward pass used.
     ``grad_vector`` has the same layout and holds the last backward's
-    gradients. ``scratch`` is lent to the BPR step and then to the
-    backward's deltas, which are never live at once. It starts empty,
-    and a Trainer sizes it, so a model that is only evaluated holds
-    none: a presized block would sit in the heap unused and push the
-    evaluation's arrays into fresh memory.
+    gradients. ``scratch`` holds the backward's deltas. It starts
+    empty, a Trainer sizes it and fit empties it again, so a model that
+    is only evaluated holds none: a presized block would sit in the
+    heap unused and push the evaluation's arrays into fresh memory.
     """
 
     def __init__(self, params: dict):
@@ -130,18 +129,17 @@ class PathCache:
     """Forward caches of one conv path: a kind over a tuple of domains.
 
     users[l] and items[l][d] are the layer-l representations (index 0
-    is the embedding). convs[l] holds the rest of what layer l's
-    backward needs: per domain the item->user neighbor sums and the
-    user->item neighbor sums. Each ReLU runs in place on its
-    pre-activation, since its output, positive exactly where the
-    pre-activation is, serves as the backward's gate.
+    is the embedding). The backward needs nothing else: it takes a
+    neighbor sum's weight gradient from the layer's input, as
+    x.T @ (A.T @ dz), so the sums themselves are never kept. Each ReLU
+    runs in place on its pre-activation, since its output, positive
+    exactly where the pre-activation is, serves as the backward's gate.
     """
 
     kind: str
     domains: tuple
     users: list
     items: list
-    convs: list = field(default_factory=list)
 
 
 @dataclass
@@ -246,15 +244,12 @@ class DisentangledGraphModel(FlatModel):
         w = {d: self.weight_names(path.kind, l, d) for d in path.domains}
         x_u, x_i = path.users[l], path.items[l]
         z_u = x_u @ P[w[path.domains[0]].uu]
-        z_i, sums_u, sums_i = {}, {}, {}
+        z_i = {}
         for d in path.domains:
-            sums_u[d] = self.graph.aggregators(d, mean).to_users.apply(x_i[d])
-            z_u += sums_u[d] @ P[w[d].iu]
+            z_u += self.graph.aggregators(d, mean).to_users.apply(x_i[d]) @ P[w[d].iu]
         for d in path.domains:
-            sums_i[d] = self.graph.aggregators(d, mean).to_items.apply(x_u)
             z_i[d] = x_i[d] @ P[w[d].ii]
-            z_i[d] += sums_i[d] @ P[w[d].ui]
-        path.convs.append((sums_u, sums_i))
+            z_i[d] += self.graph.aggregators(d, mean).to_items.apply(x_u) @ P[w[d].ui]
         path.users.append(relu(z_u, out=z_u))
         path.items.append({d: relu(z, out=z) for d, z in z_i.items()})
 
@@ -262,26 +257,28 @@ class DisentangledGraphModel(FlatModel):
                        grads: dict) -> None:
         """Reverse of _conv_forward: add layer l's weight gradients to
         grads and its input gradients to du[l] / di[l][d], given the
-        output gradients du[l + 1] / di[l + 1][d]. Neighbor gradients
-        scatter through the transposed CSR."""
+        output gradients du[l + 1] / di[l + 1][d]. A relation's output
+        gradient goes back through the transposed CSR once, as back =
+        A.T @ dz; its weight gradient is x.T @ back, with x the layer's
+        input on the neighbor side, and its input gradient back @ P.T."""
         P, mean = self.params, self.mean_aggregation
         w = {d: self.weight_names(path.kind, l, d) for d in path.domains}
-        sums_u, sums_i = path.convs[l]
+        x_u, x_i = path.users[l], path.items[l]
         uu = w[path.domains[0]].uu
         dz_u = relu_backward(path.users[l + 1], du[l + 1])
-        grads[uu] += path.users[l].T @ dz_u
+        grads[uu] += x_u.T @ dz_u
         du[l] += dz_u @ P[uu].T
         for d in path.domains:
-            grads[w[d].iu] += sums_u[d].T @ dz_u
-            di[l][d] += self.graph.aggregators(d, mean).to_users.apply_transpose(
-                dz_u @ P[w[d].iu].T)
+            back = self.graph.aggregators(d, mean).to_users.apply_transpose(dz_u)
+            grads[w[d].iu] += x_i[d].T @ back
+            di[l][d] += back @ P[w[d].iu].T
         for d in path.domains:
             dz_i = relu_backward(path.items[l + 1][d], di[l + 1][d])
-            grads[w[d].ii] += path.items[l][d].T @ dz_i
+            grads[w[d].ii] += x_i[d].T @ dz_i
             di[l][d] += dz_i @ P[w[d].ii].T
-            grads[w[d].ui] += sums_i[d].T @ dz_i
-            du[l] += self.graph.aggregators(d, mean).to_items.apply_transpose(
-                dz_i @ P[w[d].ui].T)
+            back = self.graph.aggregators(d, mean).to_items.apply_transpose(dz_i)
+            grads[w[d].ui] += x_u.T @ back
+            du[l] += back @ P[w[d].ui].T
 
     # -- forward -----------------------------------------------------------
 
@@ -438,6 +435,9 @@ def load_checkpoint(path: str, graph: HeteroGraph):
     if flags & ~3:
         raise ValueError(f"{path}: unknown checkpoint flags {flags:#x}")
     if kind == MF_KIND:
+        if layers or flags:
+            raise ValueError(f"{path}: mf checkpoint with layers {layers} and flags "
+                             f"{flags:#x}; both must be 0")
         from .baselines import MfModel
         return MfModel(graph, dim=dim, params=params)
     if kind not in MODE_BY_KIND:

@@ -120,21 +120,6 @@ def gather_rows(table, index, out):
     return np.take(table, index, axis=0, out=out, mode="clip")
 
 
-def scatter_rows(index, rows, num_rows: int) -> Array:
-    """out[index[k]] += rows[k] into zeros, in k order: bitwise equal to
-    ``np.add.at``. One CSC column per row, each holding a 1.0, so the
-    sparse matmul walks the columns in order and multiplies exactly."""
-    index = np.asarray(index, dtype=np.int64)
-    rows = as_matrix(rows, "rows")
-    n = len(index)
-    if index.ndim != 1 or rows.shape[0] != n:
-        raise ValueError(f"need one index per row, got {index.shape} for {rows.shape[0]} rows")
-    if n and (index.min() < 0 or index.max() >= num_rows):
-        raise ValueError(f"row index out of range [0, {num_rows})")
-    incidence = sp.csc_matrix((np.ones(n), index, np.arange(n + 1)), shape=(num_rows, n))
-    return incidence @ rows
-
-
 def packed_views(data: Array, shapes) -> list:
     """Views of the 1-D ``data`` with the given shapes, packed from its
     start in order."""
@@ -167,8 +152,8 @@ class Scratch:
     Every ``take`` packs its arrays from the start of the buffer, which
     it grows when too small, so they overlap what earlier takes
     returned: a caller may use what it took only until the next take.
-    Phases of a step that never overlap thus share one block of memory.
-    The buffer starts empty.
+    A model's backward takes its deltas from one, so repeated steps
+    reuse one block of memory. The buffer starts empty.
     """
 
     def __init__(self):

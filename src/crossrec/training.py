@@ -5,9 +5,11 @@ Every model trained here exposes the same interface (params,
 forward() -> activations with o_u/o_i, backward(acts, do_u, do_i) ->
 grads), so the graph model, its ablations, and the factorization
 baseline all run through this exact code path. Each model owns its
-parameter vector, gradient vector and scratch (model.FlatModel); a
-Trainer adds the Adam moments in the same layout, so a step allocates
-little beyond the forward pass's caches.
+parameter vector, gradient vector and the scratch for its backward's
+deltas (model.FlatModel); a Trainer adds the Adam moments in the same
+layout. The BPR step writes a domain's triplet gradients as one sparse
+(users x items) matrix, whose products with the output tables are the
+tables' gradients.
 """
 
 from __future__ import annotations
@@ -18,19 +20,22 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .data import SplitResult, split_leave_latest
 from .evaluation import build_eval_tasks, evaluate
 from .graph import HeteroGraph, build_graph
 from .model import DisentangledGraphModel
-from .numeric import (AdamState, Scratch, adam_step, check_seed, finite_diff_grad,
-                      gather_rows, scatter_rows)
+from .numeric import AdamState, Scratch, adam_step, check_seed, finite_diff_grad
 
 logger = logging.getLogger(__name__)
 
 # rng stream tags; keeps sampling streams independent per purpose
 TRIPLET_STREAM = 1
+
+# triplets scored per pass of bpr_domain_step: its gathered rows stay small
+BPR_CHUNK = 1024
 
 
 @dataclass
@@ -163,33 +168,31 @@ def bpr_loss_grad(x_pos, x_neg) -> np.ndarray:
     return -expit(-z)
 
 
-def bpr_domain_step(o_u, o_i, batch: TripletBatch, beta: float, scratch: Scratch):
+def bpr_domain_step(o_u, o_i, batch: TripletBatch, beta: float):
     """Fused BPR step of one domain on its output tables.
 
-    Gathers each operand once, scores both sides, and scatters the
-    gradient of beta * mean BPR back to the tables. Returns (x_pos,
-    x_neg, do_u, do_i), all new arrays. The users' rows and a (2n, k)
-    block are taken from ``scratch``: the block holds the positives'
-    and negatives' rows, then the item gradient rows in the same halves.
+    Scores the triplets BPR_CHUNK at a time from gathered rows. The
+    gradient of beta * mean BPR is one sparse (users x items) matrix W
+    holding +dz at (user, positive) and then -dz at (user, negative),
+    so do_u = W @ o_i and do_i = W.T @ o_u. A COO product adds its
+    entries in stored order, into every output row: do_u and do_i equal
+    np.add.at over the positives and then over the negatives, bit for
+    bit. Returns (x_pos, x_neg, do_u, do_i), all new arrays.
     """
-    n, k = len(batch), o_u.shape[1]
-    u_rows, block = scratch.take((n, k), (2 * n, k))
-    top, bottom = block[:n], block[n:]
-    gather_rows(o_u, batch.users, u_rows)
-    pos_rows = gather_rows(o_i, batch.pos_items, top)
-    neg_rows = gather_rows(o_i, batch.neg_items, bottom)
-    x_pos = np.einsum("ij,ij->i", u_rows, pos_rows)
-    x_neg = np.einsum("ij,ij->i", u_rows, neg_rows)
+    n = len(batch)
+    x_pos, x_neg = np.empty(n), np.empty(n)
+    for lo in range(0, n, BPR_CHUNK):
+        hi = min(lo + BPR_CHUNK, n)
+        u_rows = o_u[batch.users[lo:hi]]
+        x_pos[lo:hi] = np.einsum("ij,ij->i", u_rows, o_i[batch.pos_items[lo:hi]])
+        x_neg[lo:hi] = np.einsum("ij,ij->i", u_rows, o_i[batch.neg_items[lo:hi]])
     # d(beta * mean BPR)/d(z_k) for each triplet
-    dz = (beta / n * bpr_loss_grad(x_pos, x_neg))[:, None]
-    np.subtract(pos_rows, neg_rows, out=top)
-    top *= dz
-    do_u = scatter_rows(batch.users, top, len(o_u))
-    # positives before negatives: np.add.at's order into every item row
-    np.multiply(dz, u_rows, out=top)
-    np.negative(top, out=bottom)
-    do_i = scatter_rows(np.concatenate([batch.pos_items, batch.neg_items]), block, len(o_i))
-    return x_pos, x_neg, do_u, do_i
+    dz = beta / n * bpr_loss_grad(x_pos, x_neg)
+    w = sp.coo_array((np.concatenate([dz, -dz]),
+                      (np.concatenate([batch.users, batch.users]),
+                       np.concatenate([batch.pos_items, batch.neg_items]))),
+                     shape=(len(o_u), len(o_i)))
+    return x_pos, x_neg, w @ o_i, w.T @ o_u
 
 
 def compute_loss_and_grads(model, batches: dict, lambda_reg: float,
@@ -212,7 +215,7 @@ def compute_loss_and_grads(model, batches: dict, lambda_reg: float,
         if len(batch) == 0:
             raise ValueError(f"empty triplet batch for domain {d}")
         x_pos, x_neg, do_u[d], do_i[d] = bpr_domain_step(acts.o_u[d], acts.o_i[d],
-                                                         batch, betas[d], model.scratch)
+                                                         batch, betas[d])
         mean_bpr = float(np.mean(bpr_loss(x_pos, x_neg)))
         domain_losses[d] = mean_bpr
         total += betas[d] * mean_bpr
@@ -350,6 +353,7 @@ def fit(split: SplitResult, config: TrainConfig, log_stream=None) -> FitResult:
     if best is not None:
         best_epoch = best[1]
         model.param_vector[...] = best[2]
+    model.scratch = Scratch()  # the backward's deltas; an evaluated model needs none
     return FitResult(model=model, graph=graph, reports=reports, best_epoch=best_epoch)
 
 

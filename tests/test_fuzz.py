@@ -29,7 +29,8 @@ from crossrec.data import (
 from crossrec.evaluation import EVAL_STREAM, build_eval_tasks
 from crossrec.graph import build_graph
 from crossrec.model import DisentangledGraphModel, load_checkpoint, save_checkpoint
-from crossrec.training import TrainConfig
+from crossrec.training import (BPR_CHUNK, TrainConfig, TripletBatch, bpr_domain_step,
+                               bpr_loss_grad)
 
 from helpers import random_graph, reference_negatives
 
@@ -263,3 +264,39 @@ def test_tasks_ignore_test_order_and_avoid_seen_items(rows, num_negatives, data,
         negatives = t.negatives.tolist()
         assert t.pos_item_id not in negatives
         assert not any((t.user_id, i, t.domain_id) in seen for i in negatives)
+
+
+# -- the BPR step's sparse gradient against np.add.at -----------------------------
+
+
+def add_at_bpr_grads(o_u, o_i, batch, dz):
+    """(do_u, do_i) by np.add.at over the positives and then the negatives."""
+    do_u, do_i = np.zeros_like(o_u), np.zeros_like(o_i)
+    u_rows = o_u[batch.users]
+    np.add.at(do_u, batch.users, dz[:, None] * o_i[batch.pos_items])
+    np.add.at(do_u, batch.users, -dz[:, None] * o_i[batch.neg_items])
+    np.add.at(do_i, batch.pos_items, dz[:, None] * u_rows)
+    np.add.at(do_i, batch.neg_items, -dz[:, None] * u_rows)
+    return do_u, do_i
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_users=st.integers(1, 4),
+       num_items=st.integers(1, 4), n=st.integers(1, 3 * BPR_CHUNK), k=st.integers(1, 3),
+       beta=st.floats(0.01, 10.0))
+def test_bpr_step_gradient_is_add_at_in_stored_order(seed, num_users, num_items, n, k, beta):
+    # a few users and items, so every row takes many entries, at scales
+    # from 1e-8 to 1e8, where a sum in another order or one with merged
+    # duplicates rounds differently
+    rng = np.random.default_rng(seed)
+    o_u = rng.standard_normal((num_users, k)) * 10.0 ** rng.integers(-8, 9, size=(num_users, 1))
+    o_i = rng.standard_normal((num_items, k)) * 10.0 ** rng.integers(-8, 9, size=(num_items, 1))
+    batch = TripletBatch(0, *(rng.integers(0, size, size=n)
+                              for size in (num_users, num_items, num_items)))
+    x_pos, x_neg, do_u, do_i = bpr_domain_step(o_u, o_i, batch, beta)
+    u_rows = o_u[batch.users]
+    assert np.array_equal(x_pos, np.einsum("ij,ij->i", u_rows, o_i[batch.pos_items]))
+    assert np.array_equal(x_neg, np.einsum("ij,ij->i", u_rows, o_i[batch.neg_items]))
+    want_u, want_i = add_at_bpr_grads(o_u, o_i, batch, beta / n * bpr_loss_grad(x_pos, x_neg))
+    assert np.array_equal(do_u, want_u)
+    assert np.array_equal(do_i, want_i)

@@ -13,8 +13,8 @@ from crossrec.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from crossrec.numeric import Scratch, finite_diff_grad
-from crossrec.training import TripletBatch, bpr_domain_step
+from crossrec.numeric import finite_diff_grad
+from crossrec.training import TrainConfig, TripletBatch, bpr_domain_step, make_model
 
 from helpers import make_log, oracle_forward, random_graph
 
@@ -165,7 +165,7 @@ def fused_scores(o_u, o_i, users, pos, neg=None):
     """(x_pos, x_neg) of the fused BPR step; neg defaults to pos."""
     neg = pos if neg is None else neg
     batch = TripletBatch(0, np.asarray(users), np.asarray(pos), np.asarray(neg))
-    x_pos, x_neg, _, _ = bpr_domain_step(o_u, o_i, batch, 1.0, Scratch())
+    x_pos, x_neg, _, _ = bpr_domain_step(o_u, o_i, batch, 1.0)
     return x_pos, x_neg
 
 
@@ -510,6 +510,23 @@ def test_checkpoint_rejects_unknown_flag_bits(tmp_path):
         bad = corrupt_header(tmp_path, blob, model.graph.num_domains, "flags", flags)
         with pytest.raises(ValueError, match="flags"):
             load_checkpoint(bad, model.graph)
+
+
+def test_mf_checkpoint_rejects_conv_header_fields(tmp_path):
+    # an mf model has no conv layers and no flags, so nonzero fields are corrupt
+    model = make_model(small_model(seed=36).graph, TrainConfig(dim=4, mode="mf"))
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    blob = open(path, "rb").read()
+    num_domains = model.graph.num_domains
+    for field, value in (("layers", 9), ("flags", 3), ("flags", 1)):
+        bad = corrupt_header(tmp_path, blob, num_domains, field, value)
+        with pytest.raises(ValueError, match="mf checkpoint with layers"):
+            load_checkpoint(bad, model.graph)
+    flagged = corrupt_header(tmp_path, blob, num_domains, "flags", 3)
+    both = corrupt_header(tmp_path, open(flagged, "rb").read(), num_domains, "layers", 9)
+    with pytest.raises(ValueError, match="layers 9 and flags 0x3"):
+        load_checkpoint(both, model.graph)
 
 
 def test_checkpoint_rejects_wrong_graph(tmp_path):

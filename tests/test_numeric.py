@@ -16,7 +16,6 @@ from crossrec.numeric import (
     finite_diff_grad,
     relu,
     relu_backward,
-    scatter_rows,
 )
 
 
@@ -103,40 +102,6 @@ def test_segment_sum_repeated_index_counts_twice():
     indices = np.array([0, 0])
     out = CsrAggregator(offsets, indices, num_sources=len(rows)).apply(rows)
     assert np.array_equal(out, [[3.0, -4.0]])
-
-
-def add_at_reference(index, rows, num_rows):
-    out = np.zeros((num_rows, rows.shape[1]))
-    np.add.at(out, index, rows)
-    return out
-
-
-def test_scatter_rows_is_bitwise_add_at():
-    # 1e16 + 1.0 rounds back to 1e16, so only np.add.at's order gives 0.0
-    index = np.array([1, 1, 1, 0])
-    rows = np.array([[1e16, 2.0], [1.0, -0.0], [-1e16, 3.0], [0.5, 0.25]])
-    got = scatter_rows(index, rows, num_rows=3)
-    assert np.array_equal(got, add_at_reference(index, rows, 3))
-    assert got[1, 0] == 0.0
-    assert np.array_equal(got[2], [0.0, 0.0])  # an index that never occurs
-    empty = scatter_rows(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), num_rows=3)
-    assert np.array_equal(empty, np.zeros((3, 2)))
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        num_rows = int(rng.integers(1, 9))
-        index = rng.integers(0, num_rows, size=int(rng.integers(0, 40)))
-        rows = rng.standard_normal((len(index), 3)) * 10.0 ** rng.integers(-8, 9, size=(len(index), 1))
-        assert np.array_equal(scatter_rows(index, rows, num_rows),
-                              add_at_reference(index, rows, num_rows))
-
-
-def test_scatter_rows_rejects_bad_input():
-    rows = np.ones((2, 3))
-    for index in ([0, 4], [-1, 0]):
-        with pytest.raises(ValueError, match="out of range"):
-            scatter_rows(np.array(index), rows, num_rows=4)
-    with pytest.raises(ValueError, match="one index per row"):
-        scatter_rows(np.array([0]), rows, num_rows=4)
 
 
 def test_csr_aggregator_validates_structure():

@@ -160,8 +160,8 @@ def add_at_loss_and_grads(model, batches, lambda_reg, betas):
         total += betas[d] * per_domain[d]
         dz = betas[d] / len(b) * bpr_loss_grad(x_pos, x_neg)
         u_rows = acts.o_u[d][b.users]
-        np.add.at(do_u[d], b.users,
-                  dz[:, None] * (acts.o_i[d][b.pos_items] - acts.o_i[d][b.neg_items]))
+        np.add.at(do_u[d], b.users, dz[:, None] * acts.o_i[d][b.pos_items])
+        np.add.at(do_u[d], b.users, -dz[:, None] * acts.o_i[d][b.neg_items])
         np.add.at(do_i[d], b.pos_items, dz[:, None] * u_rows)
         np.add.at(do_i[d], b.neg_items, -dz[:, None] * u_rows)
     grads = model.backward(acts, do_u, do_i)
@@ -233,7 +233,7 @@ def reference_epochs(graph, config):
 def drop_graph():
     """Domain 0 has 2 items and users 0-3 took both, so their triplets
     are dropped and its batch comes out below its edge count; domains 1
-    and 2 have more edges, so the step buffers grow past domain 0's."""
+    and 2 have more edges and more items than domain 0."""
     rng = np.random.default_rng(31)
     edges = [(u, i, 0) for u in range(4) for i in range(2)] + [(u, u % 2, 0) for u in range(4, 8)]
     edges += [(int(rng.integers(10)), int(rng.integers(9)), 1) for _ in range(40)]
@@ -260,18 +260,13 @@ def test_trainer_is_bitwise_allocating_reference(mode, tie, mean, layers, triple
         assert trainer.model.params.keys() == want.keys()
         for name, p in want.items():
             assert np.array_equal(trainer.model.params[name], p), (epoch, name)
-    # domain 0's batches lost triplets and used a prefix of the scratch;
-    # 100 triplets a domain grew it past the backward's need
-    scratch = trainer.model.scratch.data.size
+    # domain 0's batches lost triplets; the scratch holds the backward's
+    # deltas alone, whatever the batch sizes
     first = sample_triplets(graph, 0, triplets or graph.num_edges(0),
                             np.random.default_rng([7, TRIPLET_STREAM, 0]))
     assert len(first) < (triplets or graph.num_edges(0))
-    assert 3 * len(first) * config.dim < scratch
-    if triplets is not None:
-        assert scratch == 3 * triplets * config.dim
-        assert triplets > max(graph.num_edges(d) for d in range(3))
-        if mode != "mf":
-            assert scratch > sum(math.prod(s) for s in trainer.model.delta_shapes())
+    deltas = 0 if mode == "mf" else sum(math.prod(s) for s in trainer.model.delta_shapes())
+    assert trainer.model.scratch.data.size == deltas
 
 
 @pytest.mark.parametrize("mode", ["full", "mf"])
@@ -479,6 +474,8 @@ def test_fit_runs_and_logs():
     lines = stream.getvalue().strip().splitlines()
     assert len(lines) == 5
     assert result.best_epoch is None
+    # the backward's deltas are released with the trainer
+    assert result.model.scratch.data.size == 0
 
 
 def test_fit_with_validation_selects_best_epoch():
@@ -490,6 +487,7 @@ def test_fit_with_validation_selects_best_epoch():
                          num_eval_negatives=3, triplets_per_epoch=32)
     result = fit(split, config)
     assert result.best_epoch in (2, 4, 6)
+    assert result.model.scratch.data.size == 0
 
 
 def test_fit_with_validation_but_no_tasks_raises():
