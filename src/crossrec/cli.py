@@ -130,12 +130,10 @@ GRADCHECK_KEYS = config_keys(GradcheckSpec, items_per_domain=_ints, mode=_mode,
 
 # eval draws its negatives as fit's validation does
 EVAL_KEYS = {k: TRAIN_KEYS[k] for k in ("num_eval_negatives", "seed")}
-BENCH_KEYS = dict(TRAIN_KEYS)
-BENCH_KEYS.update({
+BENCH_KEYS = {k: v for k, v in TRAIN_KEYS.items() if k not in ("mode", "seed")} | {
     "modes": lambda s: [_mode(x) for x in s.split(",")],
     "seeds": _ints,
-})
-del BENCH_KEYS["mode"], BENCH_KEYS["seed"]
+}
 
 
 def coerce(raw: dict, schema: dict, allow: tuple = ()) -> dict:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import atomic_open
 from .graph import HeteroGraph
-from .numeric import FlatArrays, Scratch, check_finite, relu, relu_backward
+from .numeric import FlatArrays, Scratch, check_finite
 
 # the paths of each mode, by kind; specific paths come first
 PATH_KINDS = {"full": ("spec", "shared"), "specific_only": ("spec",),
@@ -51,7 +51,7 @@ def init_params(seed: int, shapes) -> dict:
     params = {}
     for name, shape in shapes:
         k = shape[1]
-        if name == "user_emb" or name.startswith("user_emb/") or name.startswith("item_emb"):
+        if name == "user_emb" or name.startswith("item_emb"):
             bound = 1.0 / np.sqrt(k)
         else:
             bound = np.sqrt(6.0 / (k + k))
@@ -133,7 +133,8 @@ class PathCache:
     neighbor sum's weight gradient from the layer's input, as
     x.T @ (A.T @ dz), so the sums themselves are never kept. Each ReLU
     runs in place on its pre-activation, since its output, positive
-    exactly where the pre-activation is, serves as the backward's gate.
+    exactly where the pre-activation is, serves as the backward's gate:
+    the backward multiplies layer l+1's deltas by it in place.
     """
 
     kind: str
@@ -250,22 +251,28 @@ class DisentangledGraphModel(FlatModel):
         for d in path.domains:
             z_i[d] = x_i[d] @ P[w[d].ii]
             z_i[d] += self.graph.aggregators(d, mean).to_items.apply(x_u) @ P[w[d].ui]
-        path.users.append(relu(z_u, out=z_u))
-        path.items.append({d: relu(z, out=z) for d, z in z_i.items()})
+        path.users.append(np.maximum(z_u, 0.0, out=z_u))
+        path.items.append({d: np.maximum(z, 0.0, out=z) for d, z in z_i.items()})
 
     def _conv_backward(self, path: PathCache, l: int, du: list, di: list,
                        grads: dict) -> None:
         """Reverse of _conv_forward: add layer l's weight gradients to
         grads and its input gradients to du[l] / di[l][d], given the
-        output gradients du[l + 1] / di[l + 1][d]. A relation's output
-        gradient goes back through the transposed CSR once, as back =
-        A.T @ dz; its weight gradient is x.T @ back, with x the layer's
-        input on the neighbor side, and its input gradient back @ P.T."""
+        output gradients du[l + 1] / di[l + 1][d]. Those are consumed:
+        each is gated by its ReLU in place, becoming dz, as nothing else
+        reads layer l+1's deltas. The gate leaves -0.0 where it zeroes
+        a negative delta, but every use of dz sums products into a
+        target that starts at +0.0, and (+0) + (-0) = +0, so no result
+        bit depends on that sign. A relation's output gradient goes back
+        through the transposed CSR once, as back = A.T @ dz; its weight
+        gradient is x.T @ back, with x the layer's input on the neighbor
+        side, and its input gradient back @ P.T."""
         P, mean = self.params, self.mean_aggregation
         w = {d: self.weight_names(path.kind, l, d) for d in path.domains}
         x_u, x_i = path.users[l], path.items[l]
         uu = w[path.domains[0]].uu
-        dz_u = relu_backward(path.users[l + 1], du[l + 1])
+        dz_u = du[l + 1]
+        dz_u *= path.users[l + 1] > 0.0
         grads[uu] += x_u.T @ dz_u
         du[l] += dz_u @ P[uu].T
         for d in path.domains:
@@ -273,7 +280,8 @@ class DisentangledGraphModel(FlatModel):
             grads[w[d].iu] += x_i[d].T @ back
             di[l][d] += back @ P[w[d].iu].T
         for d in path.domains:
-            dz_i = relu_backward(path.items[l + 1][d], di[l + 1][d])
+            dz_i = di[l + 1][d]
+            dz_i *= path.items[l + 1][d] > 0.0
             grads[w[d].ii] += x_i[d].T @ dz_i
             di[l][d] += dz_i @ P[w[d].ii].T
             back = self.graph.aggregators(d, mean).to_items.apply_transpose(dz_i)
@@ -318,7 +326,8 @@ class DisentangledGraphModel(FlatModel):
         The gradients are added into the zeroed gradient vector, and
         the returned dict holds views of it by name. The gradients
         at each path's cached representations are taken from the
-        scratch and zeroed.
+        scratch and zeroed; each conv backward gates its output
+        gradients in place, so afterwards those hold the gated values.
         """
         P, L, D = self.params, self.layers, self.graph.num_domains
         if len(acts.o_u) != D or len(acts.paths) != len(self.paths):

@@ -31,28 +31,6 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def as_matrix(a, name: str = "matrix") -> Array:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-    return a
-
-
-def relu(x, out=None) -> Array:
-    """Elementwise max(0, x), into ``out`` when given (``x`` itself
-    works in place)."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0, out=out)
-
-
-def relu_backward(x, upstream) -> Array:
-    """Upstream gradient gated by x > 0; the subgradient at x == 0 is 0."""
-    x = np.asarray(x)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if x.shape != upstream.shape:
-        raise ValueError(f"relu_backward shape mismatch: {x.shape} vs {upstream.shape}")
-    return np.where(x > 0.0, upstream, 0.0)
-
-
 def _validate_csr(offsets: Array, indices: Array, num_sources: int) -> None:
     if offsets.ndim != 1 or len(offsets) < 1:
         raise ValueError("offsets must be a non-empty 1-D array")
@@ -74,6 +52,11 @@ class CsrAggregator:
     scatters target rows back to sources (the exact adjoint, used by the
     backward passes). ``weights`` attaches one coefficient per edge, e.g.
     1/degree for mean aggregation.
+
+    The structure is checked once, here, so no bad index reaches scipy's
+    C loops; a product with the wrong number of rows is refused by scipy
+    itself. The transposed copy is kept in CSR, so the adjoint also sums
+    each segment in index order and its bits are fixed.
     """
 
     def __init__(self, offsets, indices, num_sources: int, weights=None):
@@ -90,24 +73,10 @@ class CsrAggregator:
         self._mat = sp.csr_matrix((data, indices, offsets), shape=shape)
         self._mat_t = self._mat.T.tocsr()
 
-    @property
-    def num_targets(self) -> int:
-        return self._mat.shape[0]
-
-    @property
-    def num_sources(self) -> int:
-        return self._mat.shape[1]
-
     def apply(self, rows) -> Array:
-        rows = as_matrix(rows, "rows")
-        if rows.shape[0] != self.num_sources:
-            raise ValueError(f"expected {self.num_sources} source rows, got {rows.shape[0]}")
         return self._mat @ rows
 
     def apply_transpose(self, rows) -> Array:
-        rows = as_matrix(rows, "rows")
-        if rows.shape[0] != self.num_targets:
-            raise ValueError(f"expected {self.num_targets} target rows, got {rows.shape[0]}")
         return self._mat_t @ rows
 
 

@@ -202,9 +202,10 @@ def compute_loss_and_grads(model, batches: dict, lambda_reg: float,
     batches maps domain_id -> TripletBatch. Returns (total_loss,
     per-domain mean BPR dict, grads dict). The L2 penalty enters the
     total once; with reg_per_domain it is scaled by sum(beta_d) instead,
-    matching a per-domain reading of the objective. The gradients are
-    views of the model's gradient vector, which the next call
-    overwrites.
+    matching a per-domain reading of the objective. A non-finite total
+    raises RuntimeError before the backward runs, so a caller's
+    optimizer has not moved. The gradients are views of the model's
+    gradient vector, which the next call overwrites.
     """
     acts = model.forward()
     domain_losses = {}
@@ -219,14 +220,15 @@ def compute_loss_and_grads(model, batches: dict, lambda_reg: float,
         mean_bpr = float(np.mean(bpr_loss(x_pos, x_neg)))
         domain_losses[d] = mean_bpr
         total += betas[d] * mean_bpr
+    if lambda_reg:
+        reg_scale = lambda_reg * (sum(betas[d] for d in batches) if reg_per_domain else 1.0)
+        total += reg_scale * float(sum(np.sum(p * p) for p in model.params.values()))
     if not np.isfinite(total):
         raise RuntimeError(f"non-finite loss: total={total}, per-domain={domain_losses}; "
                            "check inputs or lower the learning rate")
     grads = model.backward(acts, [do_u.get(d, np.zeros_like(o)) for d, o in enumerate(acts.o_u)],
                            [do_i.get(d, np.zeros_like(o)) for d, o in enumerate(acts.o_i)])
     if lambda_reg:
-        reg_scale = lambda_reg * (sum(betas[d] for d in batches) if reg_per_domain else 1.0)
-        total += reg_scale * float(sum(np.sum(p * p) for p in model.params.values()))
         grad_vector = model.grad_vector
         grad_vector += 2.0 * reg_scale * model.param_vector
     return total, domain_losses, grads
@@ -287,10 +289,6 @@ class Trainer:
             self.model, batches, cfg.lambda_reg, self.betas, cfg.reg_per_domain)
         flat = self.model.param_vector
         adam_step(flat, self.model.grad_vector, self.adam, out=flat)
-        if not np.isfinite(total):
-            raise RuntimeError(
-                f"non-finite loss at epoch {self.epoch}: total={total}, "
-                f"per-domain={domain_losses}; try a lower lr")
         self.epoch += 1
         return EpochReport(self.epoch, domain_losses, total,
                            (time.perf_counter() - t0) * 1e3)

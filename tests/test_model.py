@@ -213,6 +213,26 @@ def test_zero_upstream_gradient_gives_zero_grads():
         assert not g.any(), name
 
 
+def test_zero_layer_outputs_pass_back_no_gradient():
+    # positive inputs through negative conv matrices: every ReLU output
+    # is exactly 0, and the gate at 0 must pass nothing back
+    model = small_model(seed=17, mean=True)
+    rng = np.random.default_rng(18)
+    for name, p in model.params.items():
+        sign = 1.0 if name.startswith(("user_emb", "item_emb", "out/")) else -1.0
+        p[...] = sign * rng.uniform(0.1, 1.0, size=p.shape)
+    acts = model.forward()
+    for path in acts.paths:
+        for l in range(1, model.layers + 1):
+            assert not path.users[l].any()
+            assert not any(x.any() for x in path.items[l].values())
+    do_u = [rng.standard_normal(a.shape) for a in acts.o_u]
+    do_i = [rng.standard_normal(a.shape) for a in acts.o_i]
+    grads = model.backward(acts, do_u, do_i)
+    for name, g in grads.items():
+        assert not g.any(), name
+
+
 def linear_objective(model, weights_u, weights_i):
     """Scalar objective sum_d <w_u[d], o_u[d]> + <w_i[d], o_i[d]>."""
     o_u, o_i = model.outputs()

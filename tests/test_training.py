@@ -450,6 +450,20 @@ def test_non_finite_loss_aborts_with_diagnostic():
         trainer.train_epoch()
 
 
+def test_non_finite_l2_term_raises_before_adam_moves():
+    # a finite BPR total plus an L2 term that overflows to inf
+    graph, _ = random_graph(np.random.default_rng(3), 8, (6, 5), 20)
+    config = TrainConfig(dim=4, layers=1, lambda_reg=1e307, seed=2)
+    model = make_model(graph, config)
+    trainer = Trainer(model, config)
+    before = model.param_vector.copy()
+    with pytest.raises(RuntimeError, match="non-finite loss"):
+        trainer.train_epoch()
+    assert trainer.adam.t == 0
+    assert not trainer.adam.m.any() and not trainer.adam.v.any()
+    assert np.array_equal(model.param_vector, before)
+
+
 def test_epoch_log_line_format():
     report = EpochReport(epoch=3, domain_losses={0: 0.5, 1: 0.25},
                          total_loss=0.375, elapsed_ms=12.5)
