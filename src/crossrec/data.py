@@ -5,6 +5,16 @@ Input format is tab-separated ``user<TAB>item<TAB>domain<TAB>timestamp``
 lines; ``#`` starts a comment line and blank lines are skipped. Users are
 shared across domains, items live in per-domain id spaces.
 
+A file in canonical form (ASCII; no whitespace but tab and newline; no
+``#``; no blank line; three tabs and four non-empty fields per line;
+timestamps without ``_`` that fit in int64) takes the columnar path: it
+is read in chunks of CHUNK_BYTES cut after a newline, and each chunk is
+split at once. A chunk that fails any of these checks sends the whole
+file, from line 1, through the per-line loop, which is the path for
+comments, blank lines, CR line ends, padded fields and non-ASCII text,
+and the only one that reports ``path:lineno``. Both feed one id
+assignment and dedupe, so every file gives the same log either way.
+
 A log's interactions and the split's test side are record arrays
 (``np.recarray`` of ``RECORD_DTYPE``): ``recs.user_id`` is a column,
 ``recs[k].user_id`` one record's field.
@@ -15,8 +25,8 @@ from __future__ import annotations
 import contextlib
 import os
 import secrets
-from array import array
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -24,6 +34,15 @@ RECORD_FIELDS = ("user_id", "item_id", "domain_id", "timestamp")
 RECORD_DTYPE = np.dtype([(name, np.int64) for name in RECORD_FIELDS])
 # plain ints: an np.iinfo attribute costs a property call on every line parsed
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+
+# The columnar path reads a file in chunks of about CHUNK_BYTES, so it
+# holds one chunk's tokens at a time; the per-line loop hands records
+# on in batches of LINE_BATCH.
+CHUNK_BYTES = 1 << 15
+LINE_BATCH = 1024
+# the ASCII bytes str.strip removes, but for the tab and newline separators
+_PADDING = [bytes([c]) for c in range(128) if chr(c).isspace() and chr(c) not in "\t\n"]
+_TAB, _NL = ord("\t"), ord("\n")
 
 
 def interaction_records(users, items, domains, stamps) -> np.recarray:
@@ -72,37 +91,119 @@ def _run_starts(*cols) -> np.ndarray:
     return starts
 
 
-def _build_log(records) -> InteractionLog:
+def _first_seen_ids(ids: dict, tokens) -> np.ndarray:
+    """The ids of ``tokens`` in ``ids``, after giving each token not in it
+    yet the next free id, in order of first appearance."""
+    fresh = [t for t in dict.fromkeys(tokens) if t not in ids]
+    ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
+    return np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens))
+
+
+def _build_log(columns) -> InteractionLog:
     """Assign first-seen dense ids and deduplicate repeated triples.
 
-    ``records`` yields (user, item, domain, timestamp) tuples of raw
-    tokens. A (user, item, domain) triple seen more than once collapses
+    ``columns`` yields batches of records in file order, each as three
+    columns: user tokens, ``item<TAB>domain`` keys and an int64 array of
+    timestamps. A key gives the item its id in the domain's own id
+    space. A (user, item, domain) triple seen more than once collapses
     to a single interaction holding its latest timestamp, kept at the
     position of its first appearance.
     """
-    user_ids, domain_ids = {}, {}
-    item_ids = []  # one token -> id dict per domain
-    rows = array("q")  # (user, item, domain, timestamp) per record, 8 bytes each
-    for user, item, domain, ts in records:
-        d = domain_ids.setdefault(domain, len(domain_ids))
-        if d == len(item_ids):
-            item_ids.append({})
-        rows.extend((user_ids.setdefault(user, len(user_ids)),
-                     item_ids[d].setdefault(item, len(item_ids[d])), d, ts))
-    users, items, domains, stamps = np.frombuffer(rows, dtype=np.int64).reshape(-1, 4).T
+    user_ids, key_ids = {}, {}
+    empty = np.empty(0, dtype=np.int64)
+    parts = [(empty, empty, empty)]
+    for users, keys, stamps in columns:
+        parts.append((_first_seen_ids(user_ids, users), _first_seen_ids(key_ids, keys),
+                      stamps))
+    users, keys, stamps = (np.concatenate(col) for col in zip(*parts))
+    del parts  # the batches' arrays, freed before the dedupe makes its own
 
-    # the stable sort puts each triple's first appearance at its run's start
-    order = np.lexsort((items, users, domains))
-    starts = np.flatnonzero(_run_starts(domains[order], users[order], items[order]))
+    # keys in first-seen order number the domains and each domain's items
+    domain_ids, item_names = {}, []
+    key_domain, key_item = [], []
+    for key in key_ids:
+        item, domain = key.split("\t")
+        d = domain_ids.setdefault(domain, len(domain_ids))
+        if d == len(item_names):
+            item_names.append([])
+        key_domain.append(d)
+        key_item.append(len(item_names[d]))
+        item_names[d].append(item)
+
+    # one number per (user, item, domain) triple, below the square of the
+    # record count; the stable sort puts each triple's first appearance
+    # at its run's start
+    triples = users * len(key_ids) + keys
+    order = np.argsort(triples, kind="stable")
+    starts = np.flatnonzero(_run_starts(triples[order]))
     first = order[starts]
     stamps[first] = np.maximum.reduceat(stamps[order], starts)
     keep = np.sort(first)
+    keys = keys[keep]
     return InteractionLog(
-        interaction_records(users[keep], items[keep], domains[keep], stamps[keep]),
+        interaction_records(users[keep], np.array(key_item, dtype=np.int64)[keys],
+                            np.array(key_domain, dtype=np.int64)[keys], stamps[keep]),
         user_names=list(user_ids),
-        item_names=[list(ids) for ids in item_ids],
+        item_names=item_names,
         domain_names=list(domain_ids),
     )
+
+
+class _NotCanonical(Exception):
+    """A chunk the columnar tokenizer cannot prove it reads as the loop does."""
+
+
+def _canonical_columns(path: str):
+    """_build_log's columns of ``path``, one batch per chunk of about
+    CHUNK_BYTES cut after a newline, each chunk split at once. Raises
+    _NotCanonical at the first chunk that is not in canonical form:
+    ASCII; no whitespace but tab and newline; no ``#``; and what
+    _split_chunk checks. The bytes are checked as they are read, so a
+    file with no newline at all (CR line ends) fails in its first block."""
+    with open(path, "rb") as fh:
+        tail = []  # what was read after the last newline, joined once a newline comes
+        while block := fh.read(CHUNK_BYTES):
+            if not block.isascii() or b"#" in block or any(c in block for c in _PADDING):
+                raise _NotCanonical
+            cut = block.rfind(b"\n") + 1
+            if cut:
+                yield _split_chunk(b"".join(tail) + block[:cut])
+                tail.clear()
+            tail.append(block[cut:])
+    rest = b"".join(tail)
+    if rest:  # the last line has no newline
+        yield _split_chunk(rest + b"\n")
+
+
+def _split_chunk(chunk: bytes):
+    """The columns of one newline-terminated chunk of ASCII bytes, with
+    no whitespace but tab and newline and no ``#``, that is in canonical
+    form: exactly three tabs on every line and no empty field, so no
+    blank line; timestamps that hold no ``_`` and convert to int64. On
+    such a chunk every check of the per-line loop passes and every field
+    is its own stripped token, so both readings give the same columns."""
+    text = bytearray(chunk)
+    raw = np.frombuffer(text, dtype=np.uint8)
+    is_nl = raw == _NL
+    seps = np.flatnonzero(is_nl | (raw == _TAB))
+    # every fourth separator, and only it, ends a line; no two are adjacent
+    lines = len(seps) // 4
+    if len(seps) != 4 * lines or np.count_nonzero(is_nl) != lines \
+            or not is_nl[seps[3::4]].all() or seps[0] == 0 or (np.diff(seps) == 1).any():
+        raise _NotCanonical
+    # the tabs around item<TAB>domain become line ends, so one split
+    # gives user, key and timestamp per line
+    raw[seps[0::4]] = _NL
+    raw[seps[2::4]] = _NL
+    fields = text.decode("ascii").split("\n")
+    stamps = fields[2::3]
+    if b"_" in chunk and any("_" in ts for ts in stamps):
+        raise _NotCanonical
+    try:
+        stamps = np.fromiter(map(int, stamps), np.int64, lines)
+    except (ValueError, OverflowError):
+        raise _NotCanonical from None
+    return fields[0:-1:3], fields[1::3], stamps
 
 
 def utf8_error(path: str) -> ValueError:
@@ -134,42 +235,58 @@ def atomic_open(path: str, mode: str = "w"):
         raise
 
 
+def _line_records(path: str):
+    """(user, item<TAB>domain, timestamp) per line of ``path``, read one line
+    at a time: the reading every file gets, and the only one that names
+    the ``path:lineno`` of a malformed line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise ValueError(
+                    f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
+            user, item, domain, ts_raw = (p.strip() for p in parts)
+            if not user or not item or not domain:
+                raise ValueError(f"{path}:{lineno}: empty user/item/domain field")
+            try:
+                # int() alone would also take "1_000" and non-ASCII digits
+                if "_" in ts_raw or not ts_raw.isascii():
+                    raise ValueError
+                ts = int(ts_raw)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: timestamp {ts_raw!r} is not an integer") from None
+            if not _INT64_MIN <= ts <= _INT64_MAX:
+                raise ValueError(f"{path}:{lineno}: timestamp {ts_raw!r} outside "
+                                 "the 64-bit integer range")
+            yield user, f"{item}\t{domain}", ts
+
+
+def _line_columns(path: str):
+    """_line_records(path) in batches of LINE_BATCH records, as columns."""
+    records = _line_records(path)
+    while batch := list(islice(records, LINE_BATCH)):
+        users, keys, stamps = zip(*batch)
+        yield users, keys, np.array(stamps, dtype=np.int64)
+
+
 def parse_log(path: str) -> InteractionLog:
     """Parse a TSV interaction file into an InteractionLog.
 
+    A file in canonical form takes the columnar path; any other file is
+    read again from line 1 by the per-line loop, with the same result.
     Raises ValueError with ``path:lineno`` context on malformed lines and
     on files with no interactions at all.
     """
-
-    def records():
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 4:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
-                user, item, domain, ts_raw = (p.strip() for p in parts)
-                if not user or not item or not domain:
-                    raise ValueError(f"{path}:{lineno}: empty user/item/domain field")
-                try:
-                    # int() alone would also take "1_000" and non-ASCII digits
-                    if "_" in ts_raw or not ts_raw.isascii():
-                        raise ValueError
-                    ts = int(ts_raw)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: timestamp {ts_raw!r} is not an integer") from None
-                if not _INT64_MIN <= ts <= _INT64_MAX:
-                    raise ValueError(f"{path}:{lineno}: timestamp {ts_raw!r} outside "
-                                     "the 64-bit integer range")
-                yield user, item, domain, ts
-
     try:
-        log = _build_log(records())
+        try:
+            log = _build_log(_canonical_columns(path))
+        except _NotCanonical:
+            log = _build_log(_line_columns(path))
     except UnicodeDecodeError:
         raise utf8_error(path) from None
     if not len(log.interactions):

@@ -225,13 +225,14 @@ class DisentangledGraphModel(FlatModel):
 
     def delta_shapes(self) -> list:
         """Shapes of the gradients backward keeps at each path's cached
-        representations, laid out like them: per path, the users' at
-        every layer, then every layer's items' per domain."""
-        g, k, L = self.graph, self.dim, self.layers
+        representations: two layers' worth per path, the users' twice,
+        then twice the items' per domain. Layer l's deltas sit in set
+        l % 2, since only layers l and l + 1 are live at once."""
+        g, k = self.graph, self.dim
         shapes = []
         for _, domains in self.paths:
-            shapes += [(g.num_users, k)] * (L + 1)
-            shapes += [(g.num_items_per_domain[d], k) for _ in range(L + 1) for d in domains]
+            shapes += [(g.num_users, k)] * 2
+            shapes += [(g.num_items_per_domain[d], k) for _ in range(2) for d in domains]
         return shapes
 
     # -- the relational conv -------------------------------------------------
@@ -326,8 +327,12 @@ class DisentangledGraphModel(FlatModel):
         The gradients are added into the zeroed gradient vector, and
         the returned dict holds views of it by name. The gradients
         at each path's cached representations are taken from the
-        scratch and zeroed; each conv backward gates its output
-        gradients in place, so afterwards those hold the gated values.
+        scratch and zeroed, two layers' worth per path (delta_shapes):
+        layer l's share a set with layer l + 2's, which the conv
+        backward of layer l + 1 has consumed, so the set is zeroed
+        again before layer l's conv backward fills it. Each conv
+        backward gates its output gradients in place, so afterwards
+        those hold the gated values.
         """
         P, L, D = self.params, self.layers, self.graph.num_domains
         if len(acts.o_u) != D or len(acts.paths) != len(self.paths):
@@ -341,9 +346,12 @@ class DisentangledGraphModel(FlatModel):
         for x in taken:
             x.fill(0.0)
         taken = iter(taken)
-        deltas = [([next(taken) for _ in p.users],
-                   [{d: next(taken) for d in items} for items in p.items])
-                  for p in acts.paths]
+        deltas = []
+        for p in acts.paths:
+            du = [next(taken) for _ in range(2)]
+            di = [{d: next(taken) for d in p.domains} for _ in range(2)]
+            deltas.append(([du[l % 2] for l in range(L + 1)],
+                           [di[l % 2] for l in range(L + 1)]))
 
         for d in range(D):
             grads[f"out/d{d}"] += acts.s_u[d].T @ do_u[d]
@@ -355,6 +363,10 @@ class DisentangledGraphModel(FlatModel):
 
         for l in reversed(range(L)):
             for p, (du, di) in zip(acts.paths, deltas):
+                if l + 2 <= L:
+                    du[l].fill(0.0)
+                    for x in di[l].values():
+                        x.fill(0.0)
                 self._conv_backward(p, l, du, di, grads)
 
         # layer 0 representations are the embedding tables themselves

@@ -134,14 +134,13 @@ def tiny_overfit_log():
     (user, domain): the memorization dataset. The later interaction of
     each pair becomes the eval positive under the leave-latest split."""
     from crossrec.data import _build_log
-    records = []
-    ts = 0
+    users, keys = [], []
     for u in range(3):
         for d in range(2):
             for off in (0, 1):
-                records.append((f"u{u}", f"i{(u + off) % 3}", f"d{d}", ts))
-                ts += 1
-    return _build_log(records)
+                users.append(f"u{u}")
+                keys.append(f"i{(u + off) % 3}\td{d}")
+    return _build_log([(users, keys, np.arange(len(users)))])
 
 
 MASK64 = (1 << 64) - 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import crossrec.data
 from crossrec.data import (
     InteractionLog,
     compute_stats,
@@ -39,6 +40,54 @@ def test_parse_assigns_first_seen_ids(tmp_path):
     assert len(log.interactions) == 4
     first = log.interactions[0]
     assert (first.user_id, first.item_id, first.domain_id, first.timestamp) == (0, 0, 0, 100)
+
+
+def test_canonical_file_takes_the_columnar_path(tmp_path, monkeypatch):
+    def per_line(path):
+        raise AssertionError("a canonical file reached the per-line loop")
+
+    monkeypatch.setattr(crossrec.data, "_line_records", per_line)
+    monkeypatch.setattr(crossrec.data, "CHUNK_BYTES", 16)  # several chunks
+    canonical = "".join(f"{line}\n" for line in BASIC.splitlines()
+                        if line and not line.startswith("#"))
+    log = parse_log(write(tmp_path, canonical))
+    assert log.user_names == ["alice", "bob"]
+    assert log.item_names == [["b1", "b2"], ["m1"]]
+    assert log.interactions.tolist() == [(0, 0, 0, 100), (1, 1, 0, 50), (0, 0, 1, 200),
+                                         (0, 1, 0, 150)]
+    with pytest.raises(AssertionError, match="per-line loop"):
+        parse_log(write(tmp_path, BASIC))
+
+
+# files canonical but for one line, each with what the per-line loop
+# reads: a record list or the error after "path:"
+NEAR_CANONICAL = [
+    ("u\ti\td\t1\nu\n", "2: expected 4 tab-separated fields, got 1"),
+    # four separators with a line end fourth, over two lines
+    ("u\nu\ti\t1\n", "1: expected 4 tab-separated fields, got 1"),
+    ("u\ti\td\t1\nu\t\td\t2\n", "2: empty user/item/domain field"),
+    ("\tu\ti\t1\n", "1: empty user/item/domain field"),
+    ("u\ti\td\t1_0\n", "1: timestamp '1_0' is not an integer"),
+    ("u\ti\td\t9223372036854775808\n",
+     "1: timestamp '9223372036854775808' outside the 64-bit integer range"),
+    ("#u\ti\td\t1\nu\ti\td\t2\n", [(0, 0, 0, 2)]),
+    ("u\ti\td\t1\n\nu\tj\td\t2\n", [(0, 0, 0, 1), (0, 1, 0, 2)]),
+    ("u \ti\td\t1\nu\ti\td\t2\n", [(0, 0, 0, 2)]),
+    ("u\ti\td\t1\r\nu\tj\td\t+2", [(0, 0, 0, 1), (0, 1, 0, 2)]),
+]
+
+
+@pytest.mark.parametrize("text,want", NEAR_CANONICAL)
+def test_near_canonical_files_parse_as_the_loop_reads_them(tmp_path, text, want):
+    path = str(tmp_path / "log.tsv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as exc:
+            parse_log(path)
+        assert str(exc.value) == f"{path}:{want}"
+    else:
+        assert parse_log(path).interactions.tolist() == want
 
 
 def test_parse_skips_comments_and_blanks(tmp_path):

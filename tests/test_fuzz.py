@@ -4,7 +4,9 @@ one bit flipped; the reader must then either succeed or raise
 ValueError, nothing else, and answer within a per-example deadline.
 
 Random small logs also drive the columnar data path (parse, split,
-stats, eval tasks) against per-record reference loops.
+stats, eval tasks) against per-record reference loops, and parse
+renderings of them, canonical and perturbed, against a per-record
+reference parse.
 
 Examples are derandomized and bounded, so the suite stays
 deterministic and fast.
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import crossrec.data
 from crossrec.baselines import MfModel
 from crossrec.cli import TRAIN_KEYS, coerce, parse_config_file
 from crossrec.data import (
@@ -149,11 +152,11 @@ def test_mutated_configs_parse_or_raise_value_error(blob, tmp_path):
 # few tokens and stamps, so duplicate triples, timestamp ties and
 # single-record groups are common; item tokens recur across domains and
 # "u0" is a user and an item token
-LOG_ROWS = st.lists(st.tuples(st.sampled_from(("u0", "u1", "u2")),
-                              st.sampled_from(("a", "b", "c", "u0")),
-                              st.sampled_from(("x", "y")),
-                              st.sampled_from((0, 1, 2, -(1 << 63), (1 << 63) - 1))),
-                    min_size=1, max_size=24)
+LOG_ROW = st.tuples(st.sampled_from(("u0", "u1", "u2")),
+                   st.sampled_from(("a", "b", "c", "u0")),
+                   st.sampled_from(("x", "y")),
+                   st.sampled_from((0, 1, 2, -(1 << 63), (1 << 63) - 1)))
+LOG_ROWS = st.lists(LOG_ROW, min_size=1, max_size=24)
 DATA_PATH = settings(derandomize=True, database=None, max_examples=120, deadline=None,
                      suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -264,6 +267,104 @@ def test_tasks_ignore_test_order_and_avoid_seen_items(rows, num_negatives, data,
         negatives = t.negatives.tolist()
         assert t.pos_item_id not in negatives
         assert not any((t.user_id, i, t.domain_id) in seen for i in negatives)
+
+
+# -- parse: every rendering of a log against the per-record reference --------------
+
+# whitespace str.strip removes around a field, none of it a line end in text mode
+PADS = ("", " ", "\x0b", "\x0c", "\x1f", "\u00a0")
+# comment and blank lines; the first comment has a canonical line's three tabs
+SKIPPED = ("#\ta\tx\t1", "  #\tx", "", "  ", "\t", "\x0c")
+ENDS = ("\n", "\r\n", "\r")
+# malformed lines and the loop's message for each, after "path:lineno: "
+BAD_LINES = (
+    ("u0", "expected 4 tab-separated fields, got 1"),
+    ("u0\ta\t1", "expected 4 tab-separated fields, got 3"),
+    ("u0\ta\tx\t1\t2", "expected 4 tab-separated fields, got 5"),
+    ("\tu0\ta\t1", "empty user/item/domain field"),
+    ("u0\t\tx\t1", "empty user/item/domain field"),
+    ("u0\ta\t \t1", "empty user/item/domain field"),
+    ("u0\ta\tx\t", "timestamp '' is not an integer"),
+    ("u0\ta\tx\t1_0", "timestamp '1_0' is not an integer"),
+    ("u0\ta\tx\t+-5", "timestamp '+-5' is not an integer"),
+    ("u0\ta\tx\t\u0663", "timestamp '\u0663' is not an integer"),
+    (f"u0\ta\tx\t{1 << 63}", f"timestamp '{1 << 63}' outside the 64-bit integer range"),
+    (f"u0\ta\tx\t{-(1 << 63) - 1}",
+     f"timestamp '{-(1 << 63) - 1}' outside the 64-bit integer range"),
+)
+# non-ASCII names for some tokens; "a#b" is a token, not a comment
+RENAMES = {"a": "\u00e4", "x": "\u1e8b", "u1": "a#b"}
+DIFFERENTIAL = settings(derandomize=True, database=None, max_examples=200, deadline=None,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def perturbed_logs(draw, rows):
+    """(text, lineno and message of its first malformed line or None):
+    ``rows`` one per line, among comment and blank lines and up to two
+    malformed lines, maybe with no final newline. Unless the rendering
+    is plain, fields are padded, timestamps may carry a sign or a
+    leading zero, and line ends are mixed."""
+    plain = draw(st.booleans())
+    lines = []  # (text, message if malformed)
+    for row in rows:
+        if draw(st.booleans()):
+            lines.append((draw(st.sampled_from(SKIPPED)), None))
+        pad = "" if plain else draw(st.sampled_from(PADS))
+        stamp = str(row[3])
+        if row[3] >= 0 and not plain:
+            stamp = draw(st.sampled_from(("", "+", "0"))) + stamp
+        lines.append(("\t".join(f"{pad}{field}{pad}" for field in (*row[:3], stamp)), None))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
+    ends = ["\n" if plain else draw(st.sampled_from(ENDS)) for _ in lines]
+    if lines and not draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for (line, _), end in zip(lines, ends))
+    bad = next((k for k, (_, message) in enumerate(lines) if message), None)
+    if bad is None:
+        return text, None
+    # text mode reads \r\n and a lone \r as one line end each
+    before = "".join(line + end for (line, _), end in zip(lines[:bad], ends))
+    lineno = before.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+    return text, (lineno, lines[bad][1])
+
+
+def assert_parses_to(path, rows, error=None):
+    """parse_log(path) gives reference_parse(rows), or raises the
+    per-line loop's message for ``error`` (lineno, message)."""
+    if error is not None or not rows:
+        want = f"{path}:{error[0]}: {error[1]}" if error else f"{path}: no interactions found"
+        with pytest.raises(ValueError) as exc:
+            parse_log(path)
+        assert str(exc.value) == want
+        return
+    log = parse_log(path)
+    recs, user_names, item_names, domain_names = reference_parse(rows)
+    assert (log.user_names, log.item_names, log.domain_names) == \
+        (user_names, item_names, domain_names)
+    assert as_tuples(log.interactions) == recs
+    assert log.interactions.dtype == crossrec.data.RECORD_DTYPE
+
+
+@DIFFERENTIAL
+@given(rows=st.lists(LOG_ROW, max_size=16), chunk=st.integers(1, 48), rename=st.booleans(),
+       data=st.data())
+def test_parse_renderings_match_reference(rows, chunk, rename, data, tmp_path, monkeypatch):
+    monkeypatch.setattr(crossrec.data, "CHUNK_BYTES", chunk)
+
+    # the canonical rendering, cut into chunks, never reaches the per-line loop
+    final = "\n" if data.draw(st.booleans()) else ""
+    text = "\n".join("\t".join(map(str, row)) for row in rows) + (final if rows else "")
+    path = write(tmp_path, "canonical.tsv", text.encode("utf-8"))
+    with monkeypatch.context() as m:
+        m.setattr(crossrec.data, "_line_records", None)  # calling it raises TypeError
+        assert_parses_to(path, rows)
+
+    if rename:
+        rows = [tuple(RENAMES.get(tok, tok) for tok in row[:3]) + row[3:] for row in rows]
+    text, error = data.draw(perturbed_logs(rows))
+    assert_parses_to(write(tmp_path, "perturbed.tsv", text.encode("utf-8")), rows, error)
 
 
 # -- the BPR step's sparse gradient against np.add.at -----------------------------

@@ -1,6 +1,7 @@
 """Tests for the two-path conv model: forward against a nested-loop
 oracle, backward against finite differences, wiring invariants."""
 
+import math
 import struct
 
 import numpy as np
@@ -271,6 +272,25 @@ def test_backward_matches_finite_differences(mode, tie, mean):
         param = model.params[name]
         numeric = finite_diff_grad(
             lambda _p: linear_objective(model, weights_u, weights_i), param, h=1e-5)
+        assert grads_close(grads[name], numeric), f"gradient mismatch in {name}"
+
+
+def test_backward_keeps_two_layers_of_deltas_per_path():
+    # layer l's deltas share a buffer set with layer l + 2's, so at 3
+    # layers one set is zeroed and refilled; the gradients stay exact
+    model = small_model(seed=15, layers=3, dim=4, num_users=5, items=(4, 3), num_edges=10)
+    g = model.graph
+    rows = sum(g.num_users + sum(g.num_items_per_domain[d] for d in domains)
+               for _, domains in model.paths)
+    assert sum(math.prod(shape) for shape in model.delta_shapes()) == 2 * rows * model.dim
+    rng = np.random.default_rng(16)
+    acts = model.forward()
+    weights_u = [rng.standard_normal(a.shape) for a in acts.o_u]
+    weights_i = [rng.standard_normal(a.shape) for a in acts.o_i]
+    grads = model.backward(acts, weights_u, weights_i)
+    for name in model.params:
+        numeric = finite_diff_grad(
+            lambda _p: linear_objective(model, weights_u, weights_i), model.params[name], h=1e-5)
         assert grads_close(grads[name], numeric), f"gradient mismatch in {name}"
 
 
