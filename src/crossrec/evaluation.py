@@ -18,7 +18,7 @@ logger = logging.getLogger(__name__)
 EVAL_STREAM = 2
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 / golden ratio
 MASK_BYTES = 1 << 22  # bound on build_eval_tasks' (tasks x items) blocked-item mask
-SCORE_BLOCK = 64  # tasks per candidate block in evaluate: bounds its buffer
+SCORE_BYTES = 819_200  # bound on evaluate's candidate block: 64 x 100 rows at dim 16
 
 
 def task_records(users, domains, positives, negatives) -> np.recarray:
@@ -157,8 +157,9 @@ def hr_ndcg_at_10(ranks) -> tuple:
 def evaluate(model, tasks) -> list:
     """Score every task with one frozen forward pass; aggregate per
     domain in ascending id order. Domains without tasks are omitted.
-    Candidate vectors are gathered SCORE_BLOCK tasks at a time into one
-    reused buffer; each score is the same einsum over the same row."""
+    Candidate vectors are gathered into one reused buffer of at most
+    SCORE_BYTES (at least one task) a block of tasks at a time; each
+    score is the same einsum over the same row."""
     o_u, o_i = model.outputs()
     domains = np.unique(tasks.domain_id).tolist()
     reports = []
@@ -168,9 +169,10 @@ def evaluate(model, tasks) -> list:
         cands = np.column_stack((group.pos_item_id, group.negatives))
         user_rows = o_u[d][group.user_id]
         scores = np.empty(cands.shape)
-        buf = np.empty((min(SCORE_BLOCK, len(cands)), cands.shape[1], o_i[d].shape[1]))
-        for lo in range(0, len(cands), SCORE_BLOCK):
-            hi = min(lo + SCORE_BLOCK, len(cands))
+        step = max(1, SCORE_BYTES // (8 * cands.shape[1] * o_i[d].shape[1]))
+        buf = np.empty((min(step, len(cands)), cands.shape[1], o_i[d].shape[1]))
+        for lo in range(0, len(cands), step):
+            hi = min(lo + step, len(cands))
             rows = gather_rows(o_i[d], cands[lo:hi], buf[:hi - lo])
             np.einsum("nk,nck->nc", user_rows[lo:hi], rows, out=scores[lo:hi])
         hr, ndcg = hr_ndcg_at_10(ranks_of_positives(scores))

@@ -3,7 +3,8 @@
 Users are shared nodes and items live per domain. Each domain keeps its
 edges once, as one user-major CSR (offsets over users, item ids) sorted
 by (user, item), so rebuilds from permuted edge lists are bitwise
-identical. The edge list, the membership keys and the item-major
+identical. The edge list, the membership bitmap (bit ``u * num_items + i``
+set for each edge, little-endian within each byte) and the item-major
 aggregation operator are all derived from that one CSR.
 """
 
@@ -44,12 +45,15 @@ class HeteroGraph:
         self.num_items_per_domain = list(num_items_per_domain)
         self._csrs = csrs  # per domain: (offsets, items), sorted by (user, item)
         self._edges = []   # per domain: read-only (users, items) in CSR order
-        self._keys = []    # per domain: users * num_items + items, ascending
+        self._bits = []    # per domain: bit u * num_items + i set for each edge
         for (offsets, items), num_items in zip(csrs, self.num_items_per_domain):
             users = np.repeat(np.arange(num_users, dtype=np.int64), np.diff(offsets))
             users.flags.writeable = items.flags.writeable = False
             self._edges.append((users, items))
-            self._keys.append(users * num_items + items)
+            keys = users * num_items + items
+            bits = np.zeros(-(-num_users * num_items // 8), dtype=np.uint8)
+            np.bitwise_or.at(bits, keys >> 3, np.left_shift(1, keys & 7).astype(np.uint8))
+            self._bits.append(bits)
         self._aggregators: dict = {}
 
     @property
@@ -70,13 +74,14 @@ class HeteroGraph:
         return self._edges[domain_id]
 
     def has_edges(self, domain_id: int, users, items) -> np.ndarray:
-        """Vectorized membership test for (user, item) pairs in a domain."""
-        keys = self._keys[domain_id]
+        """Vectorized membership test for (user, item) pairs in a domain,
+        one bitmap read a pair. Users must lie in [0, num_users) and items
+        in [0, num_items): probes are not range-checked, so an item >=
+        num_items reads the next user's row."""
         probe = (np.asarray(users, dtype=np.int64) * self.num_items_per_domain[domain_id]
                  + np.asarray(items, dtype=np.int64))
-        if len(keys) == 0:
-            return np.zeros(len(probe), dtype=bool)
-        return keys[np.minimum(np.searchsorted(keys, probe), len(keys) - 1)] == probe
+        byte = self._bits[domain_id][probe >> 3]
+        return ((byte >> (probe & 7).astype(np.uint8)) & 1).view(bool)
 
     def aggregators(self, domain_id: int, mean: bool = False) -> Aggregators:
         """Cached (to_users, to_items) neighbor-sum operators of a domain."""

@@ -121,7 +121,9 @@ def resolve_domain_weights(graph: HeteroGraph, spec) -> list:
 def sample_triplets(graph: HeteroGraph, domain_id: int, n: int, rng) -> TripletBatch:
     """Draw n BPR triplets: positive uniform over the domain's edges,
     negative uniform over its items with rejection of interacted pairs
-    (100 rounds, then the draw is dropped with a warning)."""
+    (100 rounds, then the draw is dropped with a warning). The rng draws
+    n edge picks, then one candidate per pending triplet a round, which
+    one ``graph.has_edges`` call tests against the edge bitmap."""
     edge_users, edge_items = graph.edge_arrays(domain_id)
     if len(edge_users) == 0:
         raise ValueError(f"domain {domain_id} has no edges to sample from")
@@ -363,8 +365,11 @@ def gradient_check(model, batches: dict, betas: list, lambda_reg: float = 1e-3,
     The relative denominator is floored at 1e-5: entries tinier than
     that sit inside finite-difference noise (truncation ~h^2), where a
     raw ratio would measure noise, not correctness. corrupt_param
-    deliberately breaks one gradient as a negative control.
+    deliberately breaks one gradient as a negative control; a name that
+    is not one of the model's parameters is a ValueError.
     """
+    if corrupt_param is not None and corrupt_param not in model.params:
+        raise ValueError(f"corrupt_param={corrupt_param} is not a parameter of the model")
     # a copy, since every objective call below overwrites the model's gradients
     grads = {name: g.copy() for name, g in
              compute_loss_and_grads(model, batches, lambda_reg, betas)[2].items()}

@@ -410,6 +410,16 @@ def test_gradcheck_negative_control_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_gradcheck_rejects_unknown_corrupt_param(tmp_path, capsys):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("corrupt_param=bogus\n")
+    rc = main(["gradcheck", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: corrupt_param=bogus is not a parameter of the model\n"
+
+
 # -- synth / bench ------------------------------------------------------------------------
 
 

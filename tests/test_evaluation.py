@@ -355,7 +355,8 @@ def test_blockwise_scores_equal_one_einsum(monkeypatch):
         return ranks_of_positives(scores)
 
     monkeypatch.setattr(evaluation, "ranks_of_positives", keep_scores)
-    monkeypatch.setattr(evaluation, "SCORE_BLOCK", 16)  # 45 tasks a domain: 16 + 16 + 13
+    # 16 tasks of 100 candidates at dim 8 a block; 45 tasks a domain: 16 + 16 + 13
+    monkeypatch.setattr(evaluation, "SCORE_BYTES", 16 * 100 * 8 * 8)
     reports = evaluate(model, tasks)
     o_u, o_i = model.outputs()
     for d, scores in enumerate(scored):
@@ -363,7 +364,7 @@ def test_blockwise_scores_equal_one_einsum(monkeypatch):
         cands = np.column_stack((group.pos_item_id, group.negatives))
         whole = np.einsum("nk,nck->nc", o_u[d][group.user_id], o_i[d][cands])
         assert scores.tobytes() == whole.tobytes()
-    monkeypatch.setattr(evaluation, "SCORE_BLOCK", 1000)
+    monkeypatch.setattr(evaluation, "SCORE_BYTES", 1000 * 100 * 8 * 8)
     assert evaluate(model, tasks) == reports
 
 

@@ -6,7 +6,8 @@ ValueError, nothing else, and answer within a per-example deadline.
 Random small logs also drive the columnar data path (parse, split,
 stats, eval tasks) against per-record reference loops, and parse
 renderings of them, canonical and perturbed, against a per-record
-reference parse.
+reference parse. Random graphs check the edge bitmap's membership test
+against a set of their edges.
 
 Examples are derandomized and bounded, so the suite stays
 deterministic and fast.
@@ -16,11 +17,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import crossrec.data
-from crossrec.baselines import MfModel
+from crossrec.baselines import MfModel, random_log
 from crossrec.cli import TRAIN_KEYS, coerce, parse_config_file
 from crossrec.data import (
     RECORD_FIELDS,
@@ -401,3 +402,30 @@ def test_bpr_step_gradient_is_add_at_in_stored_order(seed, num_users, num_items,
     want_u, want_i = add_at_bpr_grads(o_u, o_i, batch, beta / n * bpr_loss_grad(x_pos, x_neg))
     assert np.array_equal(do_u, want_u)
     assert np.array_equal(do_i, want_i)
+
+
+# -- the edge bitmap against a set of edges ------------------------------------------
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(num_users=st.integers(1, 9), items=st.lists(st.integers(1, 11), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1), fill=st.floats(0.0, 1.0),
+       edgeless=st.sets(st.integers(0, 2), max_size=2))
+# one-item domains, a domain left edgeless, users x items of 3 and 15 bits
+@example(num_users=3, items=[1, 5, 1], seed=0, fill=0.5, edgeless={1})
+# every pair an edge, and 8 x 1 bits: exactly one byte
+@example(num_users=8, items=[1, 2], seed=1, fill=1.0, edgeless=set())
+def test_has_edges_matches_the_edge_set(num_users, items, seed, fill, edgeless):
+    num_edges = len(items) + round(fill * (num_users * sum(items) - len(items)))
+    log = random_log(np.random.default_rng(seed), num_users, items, num_edges)
+    # at least one domain keeps its edges: a graph needs one
+    dropped = sorted(edgeless & set(range(len(items))))[:len(items) - 1]
+    log = replace(log, interactions=log.interactions[
+        ~np.isin(log.interactions.domain_id, dropped)])
+    graph = build_graph(log)
+    edges = {(int(r.user_id), int(r.item_id), int(r.domain_id)) for r in log.interactions}
+    for d, num_items in enumerate(items):
+        users, its = np.divmod(np.arange(num_users * num_items), num_items)
+        got = graph.has_edges(d, users, its)
+        assert got.dtype == bool and got.shape == users.shape
+        assert got.tolist() == [(u, i, d) in edges for u, i in zip(users.tolist(), its.tolist())]

@@ -559,3 +559,5 @@ def test_gradient_check_negative_control():
     report = gradient_check(model, batches, [0.5, 0.5], lambda_reg=1e-3,
                             corrupt_param="user_emb")
     assert report["user_emb"] > 1e-4
+    with pytest.raises(ValueError, match="corrupt_param=bogus"):
+        gradient_check(model, batches, [0.5, 0.5], corrupt_param="bogus")
