@@ -11,12 +11,14 @@ import numpy as np
 
 from .data import SplitResult, atomic_open
 from .graph import HeteroGraph
-from .numeric import check_seed, gather_rows
+from .numeric import check_seed
 
 logger = logging.getLogger(__name__)
 
 EVAL_STREAM = 2
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 / golden ratio
+# the (shift, multiplier) steps of SplitMix64's finalizer, before its last xorshift
+MIX_STEPS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
 MASK_BYTES = 1 << 22  # bound on build_eval_tasks' (tasks x items) blocked-item mask
 SCORE_BYTES = 819_200  # bound on evaluate's candidate block: 64 x 100 rows at dim 16
 
@@ -42,8 +44,8 @@ class MetricReport:
 def splitmix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64's finalizer (Steele et al., OOPSLA 2014), a bijection
     of uint64. Array arithmetic wraps mod 2**64 without a warning."""
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    for shift, mult in MIX_STEPS:
+        z = (z ^ (z >> shift)) * mult
     return z ^ (z >> 31)
 
 
@@ -63,24 +65,58 @@ def _draw_negatives(keys, blocked, num_negatives: int) -> np.ndarray:
     ``blocked`` row does not hold, in draw order. Draw j of a row is
     mix(key + (j+1) * GOLDEN_GAMMA), mapped onto the row's items by the
     multiply-shift ((h >> 32) * num_items) >> 32. Accepted items are
-    blocked, so no row repeats one; ``blocked`` is consumed."""
+    blocked, so no row repeats one; ``blocked`` is consumed.
+
+    Each round draws once for every row still short of negatives. The
+    hash runs in place in two buffers, with splitmix64's operations in
+    its order. The blocked mask is probed through one flat view at
+    row * num_items + item, and an accepted item goes to the flat slot
+    row * num_negatives + filled. A row fills at the earliest after as
+    many rounds as it lacks negatives, so the rows are counted only
+    then, and the per-row arrays shrink only on rounds where some row
+    fills."""
     rows, num_items = blocked.shape
-    negatives = np.empty((rows, num_negatives), dtype=np.int64)
-    filled = np.zeros(rows, dtype=np.int64)
-    active = np.arange(rows)
+    negatives = np.empty(rows * num_negatives, dtype=np.int64)
+    flat = blocked.reshape(-1)
+    keys = np.asarray(keys, dtype=np.uint64)
+    base = np.arange(rows, dtype=np.intp) * num_items  # each active row's mask offset
+    slot = np.arange(rows, dtype=np.intp) * num_negatives  # its next negative's slot
+    stop = slot + num_negatives
+    h, t = np.empty(rows, dtype=np.uint64), np.empty(rows, dtype=np.uint64)
     draw = 0
-    while len(active):
+    wait = num_negatives  # rounds before some row can fill
+    while len(keys):
         draw += 1
+        n = len(keys)
+        hn, tn = h[:n], t[:n]
         # the counter is reduced in Python ints: uint64 scalars warn on overflow
-        h = splitmix64(keys[active] + draw * GOLDEN_GAMMA % 2**64)
-        items = (((h >> 32) * num_items) >> 32).astype(np.intp)
-        fresh = ~blocked[active, items]
-        rows_in, items = active[fresh], items[fresh]
-        blocked[rows_in, items] = True
-        negatives[rows_in, filled[rows_in]] = items
-        filled[rows_in] += 1
-        active = active[filled[active] < num_negatives]
-    return negatives
+        np.add(keys, draw * GOLDEN_GAMMA % 2**64, out=hn)
+        for shift, mult in MIX_STEPS:
+            np.right_shift(hn, shift, out=tn)
+            hn ^= tn
+            hn *= mult
+        np.right_shift(hn, 31, out=tn)
+        hn ^= tn
+        hn >>= 32
+        hn *= num_items
+        hn >>= 32
+        # items lie in [0, num_items), so their bits read the same as intp
+        items, probe = hn.view(np.intp), tn.view(np.intp)
+        np.add(items, base, out=probe)
+        fresh = ~flat[probe]
+        # a rejected draw is already blocked, and the item written to its
+        # row's slot is overwritten by the row's next accept
+        flat[probe] = True
+        negatives[slot] = items
+        slot += fresh
+        wait -= 1
+        if not wait:
+            left = stop - slot
+            if not left.all():
+                keep = left > 0
+                keys, base, slot, stop, left = (a[keep] for a in (keys, base, slot, stop, left))
+            wait = left.min() if len(left) else 0
+    return negatives.reshape(rows, num_negatives)
 
 
 def build_eval_tasks(split: SplitResult, graph: HeteroGraph, seed: int,
@@ -154,29 +190,58 @@ def hr_ndcg_at_10(ranks) -> tuple:
     return hr, float(np.mean(gains))
 
 
+def _candidates(tasks) -> np.ndarray:
+    """An (n, 1 + num_negatives) int64 view of the records: column 0 the
+    positive, the rest the negatives. ``task_records`` stores each
+    task's negatives right after its positive, so one view reads both
+    columns without a copy."""
+    pos, at = tasks.dtype.fields["pos_item_id"][:2]
+    negs, negs_at = tasks.dtype.fields["negatives"][:2]
+    if pos != np.int64 or negs.base != np.int64 or negs_at != at + 8:
+        raise ValueError("tasks must have task_records' layout: int64 negatives "
+                         "right after an int64 pos_item_id")
+    return tasks.getfield(np.dtype((np.int64, (1 + negs.shape[0],))), at)
+
+
 def evaluate(model, tasks) -> list:
     """Score every task with one frozen forward pass; aggregate per
     domain in ascending id order. Domains without tasks are omitted.
-    Candidate vectors are gathered into one reused buffer of at most
-    SCORE_BYTES (at least one task) a block of tasks at a time; each
-    score is the same einsum over the same row."""
+
+    A domain's tasks are picked by row index, and their user ids and
+    candidates are read from the records in place (``_candidates``): no
+    record is copied. Each domain's candidates are range-checked once.
+    Then, a block of tasks at a time, their candidate vectors are
+    gathered into one reused buffer of at most SCORE_BYTES (at least one
+    task); each score is the same einsum over the same row. One score
+    array, sized for the largest domain, serves every domain in turn,
+    so the domains reuse one block of memory instead of each leaving
+    its own in the heap."""
     o_u, o_i = model.outputs()
-    domains = np.unique(tasks.domain_id).tolist()
+    domain_of = tasks.domain_id
+    domains = np.unique(domain_of).tolist()
+    groups = [(d, np.flatnonzero(domain_of == d)) for d in domains]
+    candidates = _candidates(tasks)
+    width = candidates.shape[1]
+    # each task's candidate range, from one pass over the records
+    low, high = candidates.min(axis=1), candidates.max(axis=1)
+    score_memory = np.empty(max((len(rows) for _, rows in groups), default=0) * width)
     reports = []
-    for d in domains:
-        group = tasks[tasks.domain_id == d]
-        # candidate column 0 is the positive, the rest are negatives
-        cands = np.column_stack((group.pos_item_id, group.negatives))
-        user_rows = o_u[d][group.user_id]
-        scores = np.empty(cands.shape)
-        step = max(1, SCORE_BYTES // (8 * cands.shape[1] * o_i[d].shape[1]))
-        buf = np.empty((min(step, len(cands)), cands.shape[1], o_i[d].shape[1]))
-        for lo in range(0, len(cands), step):
-            hi = min(lo + step, len(cands))
-            rows = gather_rows(o_i[d], cands[lo:hi], buf[:hi - lo])
-            np.einsum("nk,nck->nc", user_rows[lo:hi], rows, out=scores[lo:hi])
+    for d, rows in groups:
+        table = o_i[d]
+        if low[rows].min() < 0 or high[rows].max() >= len(table):
+            raise ValueError(f"candidate item out of range [0, {len(table)}) in domain {d}")
+        n, dim = len(rows), table.shape[1]
+        user_rows = o_u[d][tasks.user_id[rows]]
+        scores = score_memory[:n * width].reshape(n, width)
+        step = max(1, SCORE_BYTES // (8 * width * dim))
+        buf = np.empty((min(step, n), width, dim))
+        for lo in range(0, n, step):
+            block = candidates[rows[lo:lo + step]]
+            gathered = np.take(table, block, axis=0, mode="clip", out=buf[:len(block)])
+            np.einsum("nk,nck->nc", user_rows[lo:lo + step], gathered,
+                      out=scores[lo:lo + step])
         hr, ndcg = hr_ndcg_at_10(ranks_of_positives(scores))
-        reports.append(MetricReport(d, len(group), hr, ndcg))
+        reports.append(MetricReport(d, n, hr, ndcg))
     missing = set(range(len(o_u))) - set(domains)
     if missing:
         logger.warning("no eval tasks for domains %s; omitted from report", sorted(missing))

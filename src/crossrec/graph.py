@@ -5,7 +5,9 @@ edges once, as one user-major CSR (offsets over users, item ids) sorted
 by (user, item), so rebuilds from permuted edge lists are bitwise
 identical. The edge list, the membership bitmap (bit ``u * num_items + i``
 set for each edge, little-endian within each byte) and the item-major
-aggregation operator are all derived from that one CSR.
+aggregation operator are all derived from that one CSR; the bitmap and
+the operators are built on first use, so a graph that is only
+evaluated never builds a bitmap.
 """
 
 from __future__ import annotations
@@ -45,15 +47,11 @@ class HeteroGraph:
         self.num_items_per_domain = list(num_items_per_domain)
         self._csrs = csrs  # per domain: (offsets, items), sorted by (user, item)
         self._edges = []   # per domain: read-only (users, items) in CSR order
-        self._bits = []    # per domain: bit u * num_items + i set for each edge
-        for (offsets, items), num_items in zip(csrs, self.num_items_per_domain):
+        for offsets, items in csrs:
             users = np.repeat(np.arange(num_users, dtype=np.int64), np.diff(offsets))
             users.flags.writeable = items.flags.writeable = False
             self._edges.append((users, items))
-            keys = users * num_items + items
-            bits = np.zeros(-(-num_users * num_items // 8), dtype=np.uint8)
-            np.bitwise_or.at(bits, keys >> 3, np.left_shift(1, keys & 7).astype(np.uint8))
-            self._bits.append(bits)
+        self._bits: dict = {}  # domain -> bit u * num_items + i set for each edge
         self._aggregators: dict = {}
 
     @property
@@ -80,8 +78,20 @@ class HeteroGraph:
         num_items reads the next user's row."""
         probe = (np.asarray(users, dtype=np.int64) * self.num_items_per_domain[domain_id]
                  + np.asarray(items, dtype=np.int64))
-        byte = self._bits[domain_id][probe >> 3]
+        byte = self._bitmap(domain_id)[probe >> 3]
         return ((byte >> (probe & 7).astype(np.uint8)) & 1).view(bool)
+
+    def _bitmap(self, domain_id: int) -> np.ndarray:
+        """The domain's membership bitmap, built on first use and cached."""
+        if domain_id not in self._bits:
+            users, items = self._edges[domain_id]
+            num_items = self.num_items_per_domain[domain_id]
+            keys = users * num_items + items
+            bits = np.zeros(-(-self.num_users * num_items // 8), dtype=np.uint8)
+            # keys are unique, so adding each edge's bit sets it
+            np.add.at(bits, keys >> 3, np.left_shift(1, keys & 7).astype(np.uint8))
+            self._bits[domain_id] = bits
+        return self._bits[domain_id]
 
     def aggregators(self, domain_id: int, mean: bool = False) -> Aggregators:
         """Cached (to_users, to_items) neighbor-sum operators of a domain."""

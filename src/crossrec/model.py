@@ -237,21 +237,28 @@ class DisentangledGraphModel(FlatModel):
 
     # -- the relational conv -------------------------------------------------
 
-    def _conv_forward(self, path: PathCache, l: int) -> None:
+    def _conv_forward(self, path: PathCache, l: int, sums: dict) -> None:
         """Layer l of one path: each node's self transform plus its
         neighbor sums over the path's domains, in ascending domain order,
         each relation through its own matrix. An item only has neighbors
-        in its own domain, so its sum has one term."""
+        in its own domain, so its sum has one term. A neighbor sum held
+        in ``sums`` under (domain, side) is read from there."""
         P, mean = self.params, self.mean_aggregation
         w = {d: self.weight_names(path.kind, l, d) for d in path.domains}
         x_u, x_i = path.users[l], path.items[l]
+
+        def neighbor_sum(d, side, x):
+            if (d, side) in sums:
+                return sums[d, side]
+            return getattr(self.graph.aggregators(d, mean), side).apply(x)
+
         z_u = x_u @ P[w[path.domains[0]].uu]
         z_i = {}
         for d in path.domains:
-            z_u += self.graph.aggregators(d, mean).to_users.apply(x_i[d]) @ P[w[d].iu]
+            z_u += neighbor_sum(d, "to_users", x_i[d]) @ P[w[d].iu]
         for d in path.domains:
             z_i[d] = x_i[d] @ P[w[d].ii]
-            z_i[d] += self.graph.aggregators(d, mean).to_items.apply(x_u) @ P[w[d].ui]
+            z_i[d] += neighbor_sum(d, "to_items", x_u) @ P[w[d].ui]
         path.users.append(np.maximum(z_u, 0.0, out=z_u))
         path.items.append({d: np.maximum(z, 0.0, out=z) for d, z in z_i.items()})
 
@@ -300,9 +307,20 @@ class DisentangledGraphModel(FlatModel):
         for kind, domains in self.paths:
             acts.paths.append(PathCache(kind, domains, users=[P["user_emb"]],
                                         items=[{d: P[f"item_emb/d{d}"] for d in domains}]))
+        # every path reads the embedding tables at layer 0, so the paths
+        # that hold a domain share its layer-0 neighbor sums: each is
+        # taken once, before the first path, and dropped after the layer
+        shared = [d for d in range(self.graph.num_domains)
+                  if sum(d in domains for _, domains in self.paths) > 1]
         for l in range(L):
+            sums = {}
+            if l == 0:
+                for d in shared:
+                    aggs = self.graph.aggregators(d, self.mean_aggregation)
+                    sums[d, "to_users"] = aggs.to_users.apply(P[f"item_emb/d{d}"])
+                    sums[d, "to_items"] = aggs.to_items.apply(P["user_emb"])
             for path in acts.paths:
-                self._conv_forward(path, l)
+                self._conv_forward(path, l, sums)
 
         for d in range(self.graph.num_domains):
             fused = [p for p in acts.paths if d in p.domains]

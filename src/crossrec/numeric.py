@@ -80,15 +80,6 @@ class CsrAggregator:
         return self._mat_t @ rows
 
 
-def gather_rows(table, index, out):
-    """out[k] = table[index[k]], for any shape of ``index``. np.take
-    writes straight into ``out`` only in clip mode, which would hide a
-    bad index, so the range is checked first."""
-    if index.size and (index.min() < 0 or index.max() >= len(table)):
-        raise ValueError(f"row index out of range [0, {len(table)})")
-    return np.take(table, index, axis=0, out=out, mode="clip")
-
-
 def packed_views(data: Array, shapes) -> list:
     """Views of the 1-D ``data`` with the given shapes, packed from its
     start in order."""

@@ -228,8 +228,11 @@ def compute_loss_and_grads(model, batches: dict, lambda_reg: float,
     if not np.isfinite(total):
         raise RuntimeError(f"non-finite loss: total={total}, per-domain={domain_losses}; "
                            "check inputs or lower the learning rate")
-    grads = model.backward(acts, [do_u.get(d, np.zeros_like(o)) for d, o in enumerate(acts.o_u)],
-                           [do_i.get(d, np.zeros_like(o)) for d, o in enumerate(acts.o_i)])
+    # zeros only for the domains without a batch
+    grads = model.backward(acts, [do_u[d] if d in do_u else np.zeros_like(o)
+                                  for d, o in enumerate(acts.o_u)],
+                           [do_i[d] if d in do_i else np.zeros_like(o)
+                            for d, o in enumerate(acts.o_i)])
     if lambda_reg:
         grad_vector = model.grad_vector
         grad_vector += 2.0 * reg_scale * model.param_vector

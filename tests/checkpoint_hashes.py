@@ -1,18 +1,24 @@
 """Print the SHA-256 of each model variant's checkpoint after a short,
-fixed training run, one `variant<TAB>sha256` line each.
+fixed training run, one `variant<TAB>sha256` line each, and then an
+`eval` line: the SHA-256 of the eval tasks' record bytes followed by the
+metrics.kv text of one trained variant.
 
 A refactor that must not change a bit is proven by running this on the
 commit before and after it and comparing the lines:
 
-    python3 tests/checkpoint_hashes.py                  # all 25 variants
+    python3 tests/checkpoint_hashes.py                  # all 25 variants, then eval
     python3 tests/checkpoint_hashes.py full-t0-m1-l2 mf  # a few of them
+    python3 tests/checkpoint_hashes.py eval             # the eval digest alone
 
 The variants are the 24 graph ones (mode, tied relation weights t0/t1,
 mean aggregation m0/m1, layers l1-l3; ties only with `full`) and `mf`.
 Each trains 4 epochs at dim 8, lr 0.01, seed 5 on the leave-latest
 split of generate_synthetic(SyntheticSpec(num_users=120,
-items_per_domain=40, num_domains=3, seed=3)). The script imports
-crossrec from the `src/` next to its own directory.
+items_per_domain=40, num_domains=3, seed=3)). The `eval` digest covers
+build_eval_tasks on that split (seed 5, 20 negatives: the 40-item
+domains leave too few items for 99) and evaluate's metrics.kv for
+full-t0-m1-l2, the benchmark's model kind. The script imports crossrec
+from the `src/` next to its own directory.
 """
 
 import hashlib
@@ -24,6 +30,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 
 from crossrec.baselines import SyntheticSpec, generate_synthetic  # noqa: E402
 from crossrec.data import split_leave_latest  # noqa: E402
+from crossrec.evaluation import build_eval_tasks, evaluate, write_metrics_kv  # noqa: E402
 from crossrec.model import MODES, save_checkpoint  # noqa: E402
 from crossrec.training import TrainConfig, fit  # noqa: E402
 
@@ -36,25 +43,46 @@ VARIANTS = {
 VARIANTS["mf"] = dict(mode="mf")
 
 
+EVAL = "eval"
+EVAL_VARIANT = "full-t0-m1-l2"
+EVAL_NEGATIVES = 20
+
+
+def train(split, name):
+    config = TrainConfig(epochs=4, dim=8, lr=0.01, seed=5, **VARIANTS[name])
+    return fit(split, config).model
+
+
 def checkpoint_hashes(names):
-    """Yield (name, SHA-256 hex digest) of each named variant's checkpoint."""
+    """Yield (name, SHA-256 hex digest) of each named variant's
+    checkpoint, or of the eval tasks and metrics for ``eval``."""
     log, _ = generate_synthetic(SyntheticSpec(num_users=120, items_per_domain=40,
                                               num_domains=3, seed=3))
     split = split_leave_latest(log)
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "model.ckpt")
+        ckpt, metrics = os.path.join(tmp, "model.ckpt"), os.path.join(tmp, "metrics.kv")
         for name in names:
-            config = TrainConfig(epochs=4, dim=8, lr=0.01, seed=5, **VARIANTS[name])
-            save_checkpoint(fit(split, config).model, path)
+            if name == EVAL:
+                model = train(split, EVAL_VARIANT)
+                tasks = build_eval_tasks(split, model.graph, seed=5,
+                                         num_negatives=EVAL_NEGATIVES)
+                write_metrics_kv(metrics, evaluate(model, tasks), split.train.domain_names)
+                digest = hashlib.sha256(tasks.tobytes())
+                path = metrics
+            else:
+                save_checkpoint(train(split, name), ckpt)
+                digest = hashlib.sha256()
+                path = ckpt
             with open(path, "rb") as fh:
-                yield name, hashlib.sha256(fh.read()).hexdigest()
+                digest.update(fh.read())
+            yield name, digest.hexdigest()
 
 
 def main(argv) -> int:
-    names = argv or list(VARIANTS)
-    unknown = [name for name in names if name not in VARIANTS]
+    names = argv or [*VARIANTS, EVAL]
+    unknown = [name for name in names if name not in VARIANTS and name != EVAL]
     if unknown:
-        print(f"error: unknown variants {unknown}; known: {', '.join(VARIANTS)}",
+        print(f"error: unknown variants {unknown}; known: {', '.join(VARIANTS)}, {EVAL}",
               file=sys.stderr)
         return 1
     for name, digest in checkpoint_hashes(names):

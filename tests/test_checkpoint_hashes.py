@@ -1,5 +1,5 @@
 """Keeps tests/checkpoint_hashes.py, the byte-identity proof for
-refactors, runnable."""
+refactors, runnable, and pins its eval digest."""
 
 import os
 import re
@@ -28,3 +28,14 @@ def test_checkpoint_hashes_rejects_unknown_variants():
     done = run("mf", "full-t2-m0-l1")
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("error: unknown variants ['full-t2-m0-l1']")
+
+
+# the SHA-256 of build_eval_tasks' records and full-t0-m1-l2's
+# metrics.kv; a change meant to move either updates it and says why
+EVAL_DIGEST = "18589280fb1393ef71215fb97334b8a07134ccb1f9d6ff8e64441afea342e473"
+
+
+def test_eval_digest_is_pinned():
+    done = run("eval")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"eval\t{EVAL_DIGEST}\n"

@@ -368,6 +368,28 @@ def test_blockwise_scores_equal_one_einsum(monkeypatch):
     assert evaluate(model, tasks) == reports
 
 
+def test_evaluate_rejects_bad_candidates_and_layouts():
+    rng = np.random.default_rng(24)
+    split = synthetic_split(rng)
+    graph = build_graph(split.train)
+    tasks = build_eval_tasks(split, graph, seed=25)
+    model = DisentangledGraphModel(graph, dim=4, layers=1, seed=26)
+    bad = tasks.copy()
+    bad.negatives[-1, -1] = graph.num_items_per_domain[bad.domain_id[-1]]
+    with pytest.raises(ValueError, match="candidate item out of range"):
+        evaluate(model, bad)
+    bad.negatives[-1, -1] = -1
+    with pytest.raises(ValueError, match="candidate item out of range"):
+        evaluate(model, bad)
+    # the same columns, with the negatives no longer right after the positive
+    dtype = [("user_id", np.int64), ("pos_item_id", np.int64), ("domain_id", np.int64),
+             ("negatives", np.int64, (tasks.negatives.shape[1],))]
+    moved = np.rec.fromarrays([tasks.user_id, tasks.pos_item_id, tasks.domain_id,
+                               tasks.negatives], dtype=dtype)
+    with pytest.raises(ValueError, match="layout"):
+        evaluate(model, moved)
+
+
 def test_evaluate_is_deterministic():
     rng = np.random.default_rng(18)
     split = synthetic_split(rng)

@@ -7,12 +7,15 @@ Random small logs also drive the columnar data path (parse, split,
 stats, eval tasks) against per-record reference loops, and parse
 renderings of them, canonical and perturbed, against a per-record
 reference parse. Random graphs check the edge bitmap's membership test
-against a set of their edges.
+against a set of their edges, and random blocked masks check the eval
+negatives' draw loop against a per-row reference.
 
 Examples are derandomized and bounded, so the suite stays
 deterministic and fast.
 """
 
+import signal
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +24,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import crossrec.data
+from crossrec import evaluation
 from crossrec.baselines import MfModel, random_log
 from crossrec.cli import TRAIN_KEYS, coerce, parse_config_file
 from crossrec.data import (
@@ -402,6 +406,54 @@ def test_bpr_step_gradient_is_add_at_in_stored_order(seed, num_users, num_items,
     want_u, want_i = add_at_bpr_grads(o_u, o_i, batch, beta / n * bpr_loss_grad(x_pos, x_neg))
     assert np.array_equal(do_u, want_u)
     assert np.array_equal(do_i, want_i)
+
+
+# -- the eval negatives' draw loop against a per-row reference -----------------------
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body after ``seconds``: a draw loop whose
+    rows never fill would otherwise spin for ever."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(rows=st.integers(1, 300), num_items=st.integers(2, 64), share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**64 - 1), domain=st.integers(0, 5), tight=st.floats(0.0, 1.0))
+# one row, two items, one negative
+@example(rows=1, num_items=2, share=0.0, seed=0, domain=0, tight=0.0)
+# every row's pool is exactly num_negatives, up to all of its items
+@example(rows=300, num_items=64, share=0.5, seed=7, domain=3, tight=1.0)
+@example(rows=40, num_items=9, share=1.0, seed=2**64 - 1, domain=1, tight=0.5)
+def test_draw_loop_matches_per_row_reference(rows, num_items, share, seed, domain, tight):
+    num_negatives = 1 + round(share * (num_items - 1))
+    rng = np.random.default_rng(seed % 2**32)
+    users = rng.integers(0, 2 * rows, size=rows)  # repeated users share a stream
+    # each row blocks a random count of items; a `tight` share of the rows
+    # leaves exactly num_negatives of them free
+    spare = num_items - num_negatives
+    counts = np.where(rng.random(rows) < tight, spare, rng.integers(0, spare + 1, size=rows))
+    blocked = np.zeros((rows, num_items), dtype=bool)
+    for r, count in enumerate(counts):
+        blocked[r, rng.choice(num_items, size=count, replace=False)] = True
+    want = [reference_negatives(seed, EVAL_STREAM, domain, u, np.flatnonzero(row).tolist(),
+                                num_items, num_negatives)
+            for u, row in zip(users.tolist(), blocked)]
+    keys = evaluation.task_keys(seed, domain, users)
+    with time_limit(5.0):
+        got = evaluation._draw_negatives(keys, blocked.copy(), num_negatives)
+    assert got.dtype == np.int64 and got.shape == (rows, num_negatives)
+    assert got.tolist() == want
 
 
 # -- the edge bitmap against a set of edges ------------------------------------------

@@ -147,6 +147,19 @@ def test_has_edges():
         assert list(g.has_edges(d, users, items)) == want
 
 
+def test_bitmaps_are_built_on_first_probe():
+    # a graph that is only evaluated never probes, so it builds no bitmap
+    g = build_graph(make_log([(0, 0, 0), (1, 1, 1), (1, 0, 1)], 2, [2, 2]))
+    assert g._bits == {}
+    assert list(g.has_edges(1, np.array([1, 1, 0]), np.array([0, 1, 1]))) == [True, True, False]
+    assert list(g._bits) == [1]
+    bits = g._bits[1]
+    assert list(g.has_edges(1, np.array([0]), np.array([0]))) == [False]
+    assert g._bits[1] is bits
+    # bits 2 and 3 (user 1, items 0 and 1), little-endian within the byte
+    assert bits.tolist() == [0b1100]
+
+
 def test_edge_arrays_align_with_csr():
     rng = np.random.default_rng(15)
     log = random_log(rng)

@@ -14,7 +14,7 @@ from crossrec.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from crossrec.numeric import finite_diff_grad
+from crossrec.numeric import CsrAggregator, finite_diff_grad
 from crossrec.training import TrainConfig, TripletBatch, bpr_domain_step, make_model
 
 from helpers import make_log, oracle_forward, random_graph
@@ -128,6 +128,30 @@ def test_forward_matches_oracle_with_tied_weights_and_mean():
         for d in range(graph.num_domains):
             assert np.allclose(o_u[d], want_u[d], rtol=0, atol=1e-10)
             assert np.allclose(o_i[d], want_i[d], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("mode, products", [("full", 18), ("specific_only", 12),
+                                             ("shared_only", 12)])
+def test_layer_zero_neighbor_sums_are_shared_by_the_paths(mode, products, monkeypatch):
+    # 3 domains, 2 layers: two sums per path and domain and layer, but in
+    # full mode the shared path reuses the specific paths' layer-0 sums
+    rng = np.random.default_rng(12)
+    graph, _ = random_graph(rng, 7, (4, 3, 5), 20)
+    model = DisentangledGraphModel(graph, dim=4, layers=2, mode=mode, seed=13)
+    want_u, want_i = oracle_forward(graph, model.params, 2, mode=mode)
+    calls = []
+    apply = CsrAggregator.apply
+
+    def counting_apply(self, rows):
+        calls.append(rows)
+        return apply(self, rows)
+
+    monkeypatch.setattr(CsrAggregator, "apply", counting_apply)
+    o_u, o_i = model.outputs()
+    assert len(calls) == products
+    for d in range(3):
+        assert np.allclose(o_u[d], want_u[d], rtol=0, atol=1e-10)
+        assert np.allclose(o_i[d], want_i[d], rtol=0, atol=1e-10)
 
 
 def test_output_fusion_matches_cached_reps():

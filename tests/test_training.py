@@ -11,7 +11,7 @@ from crossrec.baselines import SyntheticSpec, generate_synthetic
 from crossrec.data import split_leave_latest
 from crossrec.graph import build_graph
 from crossrec.model import MODES, DisentangledGraphModel, load_checkpoint, save_checkpoint
-from crossrec.numeric import AdamState, adam_step
+from crossrec.numeric import AdamState, adam_step, finite_diff_grad
 from crossrec.training import (
     TRIPLET_STREAM,
     EpochReport,
@@ -342,6 +342,29 @@ def test_reg_per_domain_scales_by_beta_sum():
     sumsq = sum(float(np.sum(p * p)) for p in model.params.values())
     assert abs(once - (base + lam * sumsq)) < 1e-10
     assert abs(per_dom - (base + lam * 5.0 * sumsq)) < 1e-10
+
+
+@pytest.mark.parametrize("with_batch", [[1], [0, 2]])
+def test_domains_without_a_batch_match_finite_differences(with_batch):
+    # the batchless domains' outputs get zero gradients; the others' and
+    # the L2 term's must still match central differences on every entry
+    rng = np.random.default_rng(31)
+    graph, _ = random_graph(rng, 6, (4, 3, 5), 22)
+    model = DisentangledGraphModel(graph, dim=3, layers=2, mode="full", mean_aggregation=True,
+                                   seed=32)
+    batches = {d: sample_triplets(graph, d, 12, np.random.default_rng([31, d]))
+               for d in with_batch}
+    betas, lam = [0.5, 0.8, 1.3], 1e-2
+    _, _, grads = compute_loss_and_grads(model, batches, lam, betas)
+    grads = {name: g.copy() for name, g in grads.items()}
+    for name, param in model.params.items():
+        numeric = finite_diff_grad(
+            lambda _: compute_loss_and_grads(model, batches, lam, betas)[0], param)
+        assert np.allclose(grads[name], numeric, rtol=1e-5, atol=1e-8), name
+    # a batchless domain's output transform gets the L2 term alone
+    for d in set(range(3)) - set(with_batch):
+        out = f"out/d{d}"
+        assert np.array_equal(grads[out], 2.0 * lam * model.params[out]), d
 
 
 def test_one_adam_step_decreases_loss_for_most_seeds():
