@@ -277,21 +277,29 @@ def cmd_bench(args) -> int:
     data = _require_file(args.data or extras.get("data"), "--data")
     out = _ensure_out(args.out)
     split = split_leave_latest(parse_log(data))
-    results_path = os.path.join(out, "results.tsv")
-    new_file = not os.path.exists(results_path)
     rows = []
     for config in configs:
         result = fit(split, config)
         tasks = _eval_tasks(split, result.graph, config)
-        with open(results_path, "a", encoding="utf-8") as fh:
-            if new_file:
-                fh.write("mode\tseed\tdomain\tusers\thr_at_10\tndcg_at_10\n")
-                new_file = False
-            for m in evaluate(result.model, tasks):
-                rows.append("\t".join(str(c) for c in (
-                    config.mode, config.seed, m.domain_id, m.num_users, m.hr_at_10,
-                    m.ndcg_at_10)))
-                print(rows[-1], file=fh)
+        for m in evaluate(result.model, tasks):
+            rows.append("\t".join(str(c) for c in (
+                config.mode, config.seed, m.domain_id, m.num_users, m.hr_at_10,
+                m.ndcg_at_10)))
+    # the file is rewritten whole, earlier rows first, once the grid is
+    # done: a run that fails part way leaves it as it was
+    results_path = os.path.join(out, "results.tsv")
+    earlier = ""
+    if os.path.exists(results_path):
+        with open(results_path, "r", encoding="utf-8") as fh:
+            earlier = fh.read()
+    if not earlier:
+        earlier = "mode\tseed\tdomain\tusers\thr_at_10\tndcg_at_10\n"
+    elif not earlier.endswith("\n"):
+        earlier += "\n"
+    with atomic_open(results_path) as fh:
+        fh.write(earlier)
+        for row in rows:
+            print(row, file=fh)
     for row in rows:
         print(row)
     return 0

@@ -23,14 +23,19 @@ MASK_BYTES = 1 << 22  # bound on build_eval_tasks' (tasks x items) blocked-item 
 SCORE_BYTES = 819_200  # bound on evaluate's candidate block: 64 x 100 rows at dim 16
 
 
-def task_records(users, domains, positives, negatives) -> np.recarray:
-    """Eval task records from parallel columns; ``negatives`` is an
-    (n, num_negatives) block stored as one subarray field."""
-    negatives = np.asarray(negatives, dtype=np.int64)
+def task_records(users, domains, positives, num_negatives: int) -> np.recarray:
+    """Eval task records holding the parallel columns ``users``,
+    ``domains`` and ``positives``, and room for ``num_negatives`` items
+    a task in the subarray field ``negatives``, which the caller fills
+    through the (n, num_negatives) view ``records.negatives``."""
     dtype = np.dtype([("user_id", np.int64), ("domain_id", np.int64),
                       ("pos_item_id", np.int64),
-                      ("negatives", np.int64, (negatives.shape[1],))])
-    return np.rec.fromarrays([users, domains, positives, negatives], dtype=dtype)
+                      ("negatives", np.int64, (num_negatives,))])
+    records = np.recarray(len(users), dtype=dtype)
+    records.user_id = users
+    records.domain_id = domains
+    records.pos_item_id = positives
+    return records
 
 
 @dataclass
@@ -145,7 +150,10 @@ def build_eval_tasks(split: SplitResult, graph: HeteroGraph, seed: int,
         logger.warning("skipped %d/%d eval users with fewer than %d eligible negatives",
                        len(test) - len(kept), len(test), num_negatives)
     # no task, no negatives: a field num_negatives wide may be too wide for a dtype
-    negatives = np.empty((len(kept), num_negatives if len(kept) else 0), dtype=np.int64)
+    tasks = task_records(users[kept], domains[kept], positives[kept],
+                         num_negatives if len(kept) else 0)
+    # each block is drawn straight into its rows of the records
+    negatives = tasks.negatives
     for d in np.unique(domains[kept]).tolist():
         offsets, items = graph.csr(d)
         rows = np.flatnonzero(domains[kept] == d)
@@ -161,8 +169,7 @@ def build_eval_tasks(split: SplitResult, graph: HeteroGraph, seed: int,
             blocked[np.repeat(np.arange(len(block)), counts), items[flat]] = True
             blocked[np.arange(len(block)), pos] = True
             negatives[block] = _draw_negatives(task_keys(seed, d, u), blocked, num_negatives)
-    kept_test = test[kept]
-    return task_records(kept_test.user_id, kept_test.domain_id, kept_test.item_id, negatives)
+    return tasks
 
 
 def ranks_of_positives(scores) -> np.ndarray:

@@ -23,12 +23,16 @@ from .numeric import CsrAggregator
 Aggregators = namedtuple("Aggregators", "to_users to_items")
 
 
-def _csr_from_edges(targets, sources, num_targets):
-    """Sorted CSR (offsets, indices) from parallel target/source arrays."""
-    order = np.lexsort((sources, targets))
+def _csr_from_edges(targets, sources, num_targets, num_sources):
+    """Sorted CSR (offsets, indices) from parallel target/source arrays:
+    one sort of the packed keys target * num_sources + source, which
+    order edges by (target, source) and hold each source as the key's
+    remainder."""
+    keys = np.asarray(targets, dtype=np.int64) * num_sources + sources
+    keys.sort()
     counts = np.bincount(targets, minlength=num_targets)
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return offsets, sources[order].astype(np.int64)
+    return offsets, keys % num_sources
 
 
 def _aggregator(offsets, indices, num_sources, mean):
@@ -100,7 +104,8 @@ class HeteroGraph:
             offsets, items = self._csrs[domain_id]
             users, _ = self._edges[domain_id]
             num_items = self.num_items_per_domain[domain_id]
-            item_offsets, item_users = _csr_from_edges(items, users, num_items)
+            item_offsets, item_users = _csr_from_edges(items, users, num_items,
+                                                       self.num_users)
             self._aggregators[key] = Aggregators(
                 _aggregator(offsets, items, num_items, mean),
                 _aggregator(item_offsets, item_users, self.num_users, mean))
@@ -122,6 +127,6 @@ def build_graph(train: InteractionLog) -> HeteroGraph:
             raise ValueError(f"user id out of range in domain {d}")
         if len(di) and (di.min() < 0 or di.max() >= num_items):
             raise ValueError(f"item id out of range in domain {d}")
-        csrs.append(_csr_from_edges(du, di, num_users))
+        csrs.append(_csr_from_edges(du, di, num_users, num_items))
     return HeteroGraph(num_users, [train.num_items(d) for d in range(train.num_domains)],
                        csrs)

@@ -11,13 +11,25 @@ user/item affinity is a dot product.
 
 Both the forward pass and the exact reverse-mode backward pass are
 spelled out here by hand; no autograd is involved anywhere.
+
+Within a layer each path reads only the layer below, so the paths are
+independent tasks. Once a layer is big enough to pay for the hand-off
+(PARALLEL_MIN_ELEMENTS) they run on a pool of CONV_THREADS threads,
+largest first; numpy's and scipy's products release the GIL, so the
+paths run at once. A task writes only its own path's caches and
+deltas, into arrays the calling thread allocated, and returns its
+weight-gradient products, which the calling thread adds in path order.
+Every result is therefore bit for bit the serial one.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -39,6 +51,57 @@ CHECKPOINT_MAGIC = b"DGM1"
 
 # parameter names of one conv in one domain: self (uu, ii) and neighbor (iu, ui)
 ConvWeights = namedtuple("ConvWeights", "uu ii iu ui")
+
+# A layer runs its paths on threads when num_users * dim reaches this.
+# On a 2-CPU host with one BLAS thread, 2000 users and 3 domains in
+# full mode, a serial epoch took 0.93 times as long as a threaded one
+# at dim 8, 1.01-1.04 times at dim 16, 1.13-1.20 at dim 32 and
+# 1.26-1.45 at dims 48 and 64: below about 2**15 the hand-off costs
+# more than the second CPU gives, and near it the gain is noise.
+PARALLEL_MIN_ELEMENTS = 2**16
+CONV_THREADS = 2
+# one pool for the process, started on first use, as BLAS keeps one: its
+# threads serve every model, so their malloc arenas are made only once
+_pool = None
+
+
+def _conv_pool() -> ThreadPoolExecutor:
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(max_workers=CONV_THREADS,
+                                   thread_name_prefix="crossrec-conv")
+    return _pool
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+# a forked child has none of its parent's threads: it starts a pool of its own
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def run_tasks(tasks, sizes, parallel: bool) -> list:
+    """Results of the zero-argument callables ``tasks``, in their order.
+    With ``parallel`` they run on the conv pool, largest ``sizes`` first,
+    and every task has ended before this returns or raises; otherwise
+    they run here, one after another."""
+    if not parallel:
+        return [task() for task in tasks]
+    pool = _conv_pool()
+    order = sorted(range(len(tasks)), key=lambda j: -sizes[j])
+    futures = [None] * len(tasks)
+    for j in order:
+        futures[j] = pool.submit(tasks[j])
+    wait(futures)
+    return [f.result() for f in futures]
+
+
+def neighbor_product(matrix, rows):
+    """``matrix @ rows`` for a scipy CSR operator of ``graph.aggregators``:
+    every sparse product of the conv goes through here."""
+    return matrix @ rows
 
 
 def init_params(seed: int, shapes) -> dict:
@@ -134,7 +197,9 @@ class PathCache:
     x.T @ (A.T @ dz), so the sums themselves are never kept. Each ReLU
     runs in place on its pre-activation, since its output, positive
     exactly where the pre-activation is, serves as the backward's gate:
-    the backward multiplies layer l+1's deltas by it in place.
+    the backward multiplies layer l+1's deltas by it in place. The
+    forward allocates each layer's arrays on its own thread before the
+    path's task fills them, so no cache lives in a worker's heap.
     """
 
     kind: str
@@ -237,72 +302,99 @@ class DisentangledGraphModel(FlatModel):
 
     # -- the relational conv -------------------------------------------------
 
-    def _conv_forward(self, path: PathCache, l: int, sums: dict) -> None:
+    def _run_paths(self, tasks: list) -> list:
+        """Results of a layer's tasks, one per path, in path order: on
+        the conv pool, the shared path first, when the model has more
+        than one path and num_users * dim reaches PARALLEL_MIN_ELEMENTS."""
+        parallel = (len(self.paths) > 1
+                    and self.graph.num_users * self.dim >= PARALLEL_MIN_ELEMENTS)
+        return run_tasks(tasks, [len(domains) for _, domains in self.paths], parallel)
+
+    def _conv_forward(self, path: PathCache, l: int, sums: dict, aggs: list) -> None:
         """Layer l of one path: each node's self transform plus its
         neighbor sums over the path's domains, in ascending domain order,
         each relation through its own matrix. An item only has neighbors
         in its own domain, so its sum has one term. A neighbor sum held
-        in ``sums`` under (domain, side) is read from there."""
-        P, mean = self.params, self.mean_aggregation
+        in ``sums`` under (domain, side) is read from there; any other
+        is a product with the domain's operator in ``aggs``. The outputs
+        go into path.users[l + 1] and path.items[l + 1][d], which the
+        caller allocated; this allocates only temporaries."""
+        P = self.params
         w = {d: self.weight_names(path.kind, l, d) for d in path.domains}
         x_u, x_i = path.users[l], path.items[l]
+        z_u, z_i = path.users[l + 1], path.items[l + 1]
 
         def neighbor_sum(d, side, x):
             if (d, side) in sums:
                 return sums[d, side]
-            return getattr(self.graph.aggregators(d, mean), side).apply(x)
+            return neighbor_product(getattr(aggs[d], side).matrix, x)
 
-        z_u = x_u @ P[w[path.domains[0]].uu]
-        z_i = {}
+        np.matmul(x_u, P[w[path.domains[0]].uu], out=z_u)
         for d in path.domains:
             z_u += neighbor_sum(d, "to_users", x_i[d]) @ P[w[d].iu]
         for d in path.domains:
-            z_i[d] = x_i[d] @ P[w[d].ii]
+            np.matmul(x_i[d], P[w[d].ii], out=z_i[d])
             z_i[d] += neighbor_sum(d, "to_items", x_u) @ P[w[d].ui]
-        path.users.append(np.maximum(z_u, 0.0, out=z_u))
-        path.items.append({d: np.maximum(z, 0.0, out=z) for d, z in z_i.items()})
+        np.maximum(z_u, 0.0, out=z_u)
+        for z in z_i.values():
+            np.maximum(z, 0.0, out=z)
 
     def _conv_backward(self, path: PathCache, l: int, du: list, di: list,
-                       grads: dict) -> None:
-        """Reverse of _conv_forward: add layer l's weight gradients to
-        grads and its input gradients to du[l] / di[l][d], given the
-        output gradients du[l + 1] / di[l + 1][d]. Those are consumed:
-        each is gated by its ReLU in place, becoming dz, as nothing else
-        reads layer l+1's deltas. The gate leaves -0.0 where it zeroes
-        a negative delta, but every use of dz sums products into a
-        target that starts at +0.0, and (+0) + (-0) = +0, so no result
-        bit depends on that sign. A relation's output gradient goes back
+                       aggs: list) -> list:
+        """Reverse of _conv_forward: layer l's input gradients go into
+        du[l] / di[l][d], which this zeroes first, given the output
+        gradients du[l + 1] / di[l + 1][d]. Those are consumed: each is
+        gated by its ReLU in place, becoming dz, as nothing else reads
+        layer l+1's deltas. The gate leaves -0.0 where it zeroes a
+        negative delta, but every use of dz sums products into a target
+        that starts at +0.0, and (+0) + (-0) = +0, so no result bit
+        depends on that sign. A relation's output gradient goes back
         through the transposed CSR once, as back = A.T @ dz; its weight
         gradient is x.T @ back, with x the layer's input on the neighbor
-        side, and its input gradient back @ P.T."""
-        P, mean = self.params, self.mean_aggregation
+        side, and its input gradient back @ P.T.
+
+        The weight gradients are returned, not added: a list of
+        (parameter name, product) in the order they are to be added."""
+        P = self.params
         w = {d: self.weight_names(path.kind, l, d) for d in path.domains}
         x_u, x_i = path.users[l], path.items[l]
         uu = w[path.domains[0]].uu
+        products = []
+        du[l].fill(0.0)
+        for d in path.domains:
+            di[l][d].fill(0.0)
         dz_u = du[l + 1]
         dz_u *= path.users[l + 1] > 0.0
-        grads[uu] += x_u.T @ dz_u
+        products.append((uu, x_u.T @ dz_u))
         du[l] += dz_u @ P[uu].T
         for d in path.domains:
-            back = self.graph.aggregators(d, mean).to_users.apply_transpose(dz_u)
-            grads[w[d].iu] += x_i[d].T @ back
+            back = neighbor_product(aggs[d].to_users.matrix_t, dz_u)
+            products.append((w[d].iu, x_i[d].T @ back))
             di[l][d] += back @ P[w[d].iu].T
         for d in path.domains:
             dz_i = di[l + 1][d]
             dz_i *= path.items[l + 1][d] > 0.0
-            grads[w[d].ii] += x_i[d].T @ dz_i
+            products.append((w[d].ii, x_i[d].T @ dz_i))
             di[l][d] += dz_i @ P[w[d].ii].T
-            back = self.graph.aggregators(d, mean).to_items.apply_transpose(dz_i)
-            grads[w[d].ui] += x_u.T @ back
+            back = neighbor_product(aggs[d].to_items.matrix_t, dz_i)
+            products.append((w[d].ui, x_u.T @ back))
             du[l] += back @ P[w[d].ui].T
+        return products
 
     # -- forward -----------------------------------------------------------
 
     def forward(self) -> Activations:
         """Full-graph forward pass over every domain; caches everything
         the backward pass needs. A domain's outputs sum the layer-L
-        representations of every path containing it, in path order."""
-        P, L = self.params, self.layers
+        representations of every path containing it, in path order.
+
+        Each layer allocates its paths' outputs here, then runs one
+        _conv_forward task per path, on the conv pool when the layer is
+        big enough (_run_paths). The graph's operators are fetched
+        before the first layer, so no task builds one."""
+        P, L, D = self.params, self.layers, self.graph.num_domains
+        g, k = self.graph, self.dim
+        aggs = [g.aggregators(d, self.mean_aggregation) for d in range(D)]
         acts = Activations()
         for kind, domains in self.paths:
             acts.paths.append(PathCache(kind, domains, users=[P["user_emb"]],
@@ -310,19 +402,23 @@ class DisentangledGraphModel(FlatModel):
         # every path reads the embedding tables at layer 0, so the paths
         # that hold a domain share its layer-0 neighbor sums: each is
         # taken once, before the first path, and dropped after the layer
-        shared = [d for d in range(self.graph.num_domains)
-                  if sum(d in domains for _, domains in self.paths) > 1]
+        shared = [d for d in range(D) if sum(d in domains for _, domains in self.paths) > 1]
         for l in range(L):
             sums = {}
             if l == 0:
                 for d in shared:
-                    aggs = self.graph.aggregators(d, self.mean_aggregation)
-                    sums[d, "to_users"] = aggs.to_users.apply(P[f"item_emb/d{d}"])
-                    sums[d, "to_items"] = aggs.to_items.apply(P["user_emb"])
+                    sums[d, "to_users"] = neighbor_product(aggs[d].to_users.matrix,
+                                                           P[f"item_emb/d{d}"])
+                    sums[d, "to_items"] = neighbor_product(aggs[d].to_items.matrix,
+                                                           P["user_emb"])
             for path in acts.paths:
-                self._conv_forward(path, l, sums)
+                path.users.append(np.empty((g.num_users, k)))
+                path.items.append({d: np.empty((g.num_items_per_domain[d], k))
+                                   for d in path.domains})
+            self._run_paths([partial(self._conv_forward, path, l, sums, aggs)
+                             for path in acts.paths])
 
-        for d in range(self.graph.num_domains):
+        for d in range(D):
             fused = [p for p in acts.paths if d in p.domains]
             s_u, o_i = fused[0].users[L], fused[0].items[L][d]
             for p in fused[1:]:
@@ -345,12 +441,16 @@ class DisentangledGraphModel(FlatModel):
         The gradients are added into the zeroed gradient vector, and
         the returned dict holds views of it by name. The gradients
         at each path's cached representations are taken from the
-        scratch and zeroed, two layers' worth per path (delta_shapes):
-        layer l's share a set with layer l + 2's, which the conv
-        backward of layer l + 1 has consumed, so the set is zeroed
-        again before layer l's conv backward fills it. Each conv
-        backward gates its output gradients in place, so afterwards
-        those hold the gated values.
+        scratch, two layers' worth per path (delta_shapes): layer l's
+        share a set with layer l + 2's, which the conv backward of layer
+        l + 1 has consumed, and layer l's conv backward zeroes the set
+        before it fills it. Each conv backward gates its output
+        gradients in place, so afterwards those hold the gated values.
+
+        Each layer runs one _conv_backward task per path, on the conv
+        pool when the layer is big enough, as forward does; once all
+        have ended, their weight-gradient products are added here in
+        path order, so tied relation weights sum in the serial order.
         """
         P, L, D = self.params, self.layers, self.graph.num_domains
         if len(acts.o_u) != D or len(acts.paths) != len(self.paths):
@@ -360,16 +460,17 @@ class DisentangledGraphModel(FlatModel):
                 raise ValueError(f"upstream gradient shape mismatch in domain {d}")
 
         grads = self._zeroed_grads()
-        taken = self.scratch.take(*self.delta_shapes())
-        for x in taken:
-            x.fill(0.0)
-        taken = iter(taken)
+        aggs = [self.graph.aggregators(d, self.mean_aggregation) for d in range(D)]
+        taken = iter(self.scratch.take(*self.delta_shapes()))
         deltas = []
         for p in acts.paths:
             du = [next(taken) for _ in range(2)]
             di = [{d: next(taken) for d in p.domains} for _ in range(2)]
             deltas.append(([du[l % 2] for l in range(L + 1)],
                            [di[l % 2] for l in range(L + 1)]))
+            du[L % 2].fill(0.0)
+            for x in di[L % 2].values():
+                x.fill(0.0)
 
         for d in range(D):
             grads[f"out/d{d}"] += acts.s_u[d].T @ do_u[d]
@@ -380,12 +481,11 @@ class DisentangledGraphModel(FlatModel):
                     di[L][d] += do_i[d]
 
         for l in reversed(range(L)):
-            for p, (du, di) in zip(acts.paths, deltas):
-                if l + 2 <= L:
-                    du[l].fill(0.0)
-                    for x in di[l].values():
-                        x.fill(0.0)
-                self._conv_backward(p, l, du, di, grads)
+            tasks = [partial(self._conv_backward, p, l, du, di, aggs)
+                     for p, (du, di) in zip(acts.paths, deltas)]
+            for products in self._run_paths(tasks):
+                for name, product in products:
+                    grads[name] += product
 
         # layer 0 representations are the embedding tables themselves
         for p, (du, di) in zip(acts.paths, deltas):

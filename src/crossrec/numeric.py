@@ -56,7 +56,9 @@ class CsrAggregator:
     The structure is checked once, here, so no bad index reaches scipy's
     C loops; a product with the wrong number of rows is refused by scipy
     itself. The transposed copy is kept in CSR, so the adjoint also sums
-    each segment in index order and its bits are fixed.
+    each segment in index order and its bits are fixed. Both scipy
+    matrices are public as ``matrix`` and ``matrix_t``: ``apply(x)`` is
+    ``matrix @ x`` and ``apply_transpose(x)`` is ``matrix_t @ x``.
     """
 
     def __init__(self, offsets, indices, num_sources: int, weights=None):
@@ -70,14 +72,14 @@ class CsrAggregator:
             if data.shape != indices.shape:
                 raise ValueError("weights must have one entry per edge")
         shape = (len(offsets) - 1, num_sources)
-        self._mat = sp.csr_matrix((data, indices, offsets), shape=shape)
-        self._mat_t = self._mat.T.tocsr()
+        self.matrix = sp.csr_matrix((data, indices, offsets), shape=shape)
+        self.matrix_t = self.matrix.T.tocsr()
 
     def apply(self, rows) -> Array:
-        return self._mat @ rows
+        return self.matrix @ rows
 
     def apply_transpose(self, rows) -> Array:
-        return self._mat_t @ rows
+        return self.matrix_t @ rows
 
 
 def packed_views(data: Array, shapes) -> list:

@@ -6,6 +6,9 @@ summing, the opposite evaluation order from the implementation under
 test, so agreement is meaningful.
 """
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 
 from crossrec.baselines import _numbered_log, random_log
@@ -171,3 +174,20 @@ def reference_negatives(seed, stream, domain, user, blocked, num_items, num_nega
             blocked.add(item)
             picked.append(item)
     return picked
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body after ``seconds``: a loop that never
+    ends, or a wait for threads that never finish, fails instead of
+    hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -7,8 +7,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from crossrec import cli
 from crossrec.cli import main, parse_config_file
 from crossrec.data import parse_log
+from crossrec.training import fit
 
 from helpers import tiny_overfit_log
 
@@ -453,7 +455,7 @@ def test_synth_is_deterministic(tmp_path):
         assert read(os.path.join(out1, name)) == read(os.path.join(out2, name))
 
 
-def test_bench_appends_results(tmp_path, capsys):
+def test_bench_appends_results(tmp_path, capsys, monkeypatch):
     data_dir = str(tmp_path / "synth")
     main(["synth", "--config", synth_cfg(tmp_path), "--out", data_dir])
     capsys.readouterr()
@@ -476,6 +478,25 @@ def test_bench_appends_results(tmp_path, capsys):
     assert rc == 0
     lines = open(os.path.join(out, "results.tsv")).read().strip().splitlines()
     assert len(lines) == 9  # appended, single header
+    capsys.readouterr()
+
+    # a run that fails after its first model leaves the file as it was
+    before = open(os.path.join(out, "results.tsv"), "rb").read()
+    fits = []
+
+    def failing_fit(split, config):
+        fits.append(config.mode)
+        if len(fits) == 2:
+            raise RuntimeError("injected failure")
+        return fit(split, config)
+
+    monkeypatch.setattr(cli, "fit", failing_fit)
+    rc = main(["bench", "--config", str(bench_cfg), "--data", data, "--out", out])
+    captured = capsys.readouterr()
+    assert rc == 1 and fits == ["mf", "full"]
+    assert captured.out == "" and captured.err == "error: injected failure\n"
+    assert open(os.path.join(out, "results.tsv"), "rb").read() == before
+    assert sorted(os.listdir(out)) == ["results.tsv"]
 
 
 def test_bench_without_tasks_is_an_error(tmp_path, tiny_tsv, capsys):

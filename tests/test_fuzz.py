@@ -14,8 +14,6 @@ Examples are derandomized and bounded, so the suite stays
 deterministic and fast.
 """
 
-import signal
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +38,7 @@ from crossrec.model import DisentangledGraphModel, load_checkpoint, save_checkpo
 from crossrec.training import (BPR_CHUNK, TrainConfig, TripletBatch, bpr_domain_step,
                                bpr_loss_grad)
 
-from helpers import random_graph, reference_negatives
+from helpers import random_graph, reference_negatives, time_limit
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=2000,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -409,22 +407,6 @@ def test_bpr_step_gradient_is_add_at_in_stored_order(seed, num_users, num_items,
 
 
 # -- the eval negatives' draw loop against a per-row reference -----------------------
-
-
-@contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the body after ``seconds``: a draw loop whose
-    rows never fill would otherwise spin for ever."""
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)

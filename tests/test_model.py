@@ -3,10 +3,13 @@ oracle, backward against finite differences, wiring invariants."""
 
 import math
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from crossrec import model as conv
 from crossrec.graph import build_graph
 from crossrec.model import (
     DisentangledGraphModel,
@@ -14,10 +17,10 @@ from crossrec.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from crossrec.numeric import CsrAggregator, finite_diff_grad
+from crossrec.numeric import finite_diff_grad
 from crossrec.training import TrainConfig, TripletBatch, bpr_domain_step, make_model
 
-from helpers import make_log, oracle_forward, random_graph
+from helpers import make_log, oracle_forward, random_graph, time_limit
 
 
 def small_model(seed=0, mode="full", layers=2, dim=6, tie=False, mean=False,
@@ -140,13 +143,13 @@ def test_layer_zero_neighbor_sums_are_shared_by_the_paths(mode, products, monkey
     model = DisentangledGraphModel(graph, dim=4, layers=2, mode=mode, seed=13)
     want_u, want_i = oracle_forward(graph, model.params, 2, mode=mode)
     calls = []
-    apply = CsrAggregator.apply
+    product = conv.neighbor_product
 
-    def counting_apply(self, rows):
+    def counting_product(matrix, rows):
         calls.append(rows)
-        return apply(self, rows)
+        return product(matrix, rows)
 
-    monkeypatch.setattr(CsrAggregator, "apply", counting_apply)
+    monkeypatch.setattr(conv, "neighbor_product", counting_product)
     o_u, o_i = model.outputs()
     assert len(calls) == products
     for d in range(3):
@@ -382,6 +385,51 @@ def test_tied_weights_share_gradient_slots():
             assert np.allclose(g_t[f"spec_iu/l{l}/d{d}"], merged, atol=1e-12)
             merged = g_u[f"spec_ui/l{l}/d{d}"] + g_u[f"shared_ui/l{l}/d{d}"]
             assert np.allclose(g_t[f"spec_ui/l{l}/d{d}"], merged, atol=1e-12)
+
+
+def test_threaded_conv_is_bitwise_the_serial_conv(monkeypatch):
+    # tied relation weights get gradient products from two paths, the
+    # specific one's first; the threaded backward adds them in that order
+    # on every pass, however its tasks interleave. Four workers on a
+    # pool of their own and a short switch interval shake the order up.
+    rng = np.random.default_rng(22)
+    graph, _ = random_graph(rng, 60, (30, 25, 20), 400)
+    model = DisentangledGraphModel(graph, dim=8, layers=2, mode="full",
+                                   tie_relation_weights=True, mean_aggregation=True, seed=23)
+    acts = model.forward()
+    do_u = [rng.standard_normal(a.shape) for a in acts.o_u]
+    do_i = [rng.standard_normal(a.shape) for a in acts.o_i]
+    serial = model.backward(acts, do_u, do_i)
+    serial = {name: g.copy() for name, g in serial.items()}
+
+    monkeypatch.setattr(conv, "PARALLEL_MIN_ELEMENTS", 0)
+    monkeypatch.setattr(conv, "CONV_THREADS", 4)
+    monkeypatch.setattr(conv, "_pool", None)
+    threads = set()
+    product = conv.neighbor_product
+
+    def noting_product(matrix, rows):
+        threads.add(threading.current_thread().name)
+        return product(matrix, rows)
+
+    monkeypatch.setattr(conv, "neighbor_product", noting_product)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with time_limit(60.0):
+            threaded = model.forward()
+            for d in range(graph.num_domains):
+                assert np.array_equal(threaded.o_u[d], acts.o_u[d])
+                assert np.array_equal(threaded.o_i[d], acts.o_i[d])
+            for _ in range(20):
+                grads = model.backward(threaded, do_u, do_i)
+                for name, g in serial.items():
+                    assert np.array_equal(grads[name], g), name
+    finally:
+        sys.setswitchinterval(interval)
+        if conv._pool is not None:
+            conv._pool.shutdown()
+    assert sum(name.startswith("crossrec-conv") for name in threads) > 1
 
 
 # -- wiring invariants ---------------------------------------------------------
