@@ -1,86 +1,24 @@
-"""Comparison models, controlled synthetic data and random logs.
+"""Controlled synthetic data and random logs.
 
-The factorization baseline trains and evaluates through the shared
-trainer/evaluator, as the conv model's single-path modes do, so metric
-differences come from the models alone. The synthetic generator plants a tunable
-amount of cross-domain preference signal for trend experiments; the
-random log is the tiny arbitrary graph the gradient check runs on.
+The synthetic generator plants a tunable amount of cross-domain
+preference signal for trend experiments; the random log is the tiny
+arbitrary graph the gradient check runs on. The matrix-factorization
+baseline lives in model.py beside the conv model, and is re-exported
+here as MfModel.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import InteractionLog, interaction_records
-from .graph import HeteroGraph
-from .model import Activations, FlatModel
+from .model import MfModel  # noqa: F401  re-exported; defined beside the conv model
 from .numeric import check_seed
 
-logger = logging.getLogger(__name__)
-
-MF_STREAM = 3
 GEN_STREAM = 4
-
-
-class MfModel(FlatModel):
-    """Independent per-domain matrix factorization.
-
-    Outputs are the embedding tables themselves; there is no parameter
-    sharing or message passing, so domain d is untouched by anything
-    happening in other domains (given fixed domain weights).
-    """
-
-    def __init__(self, graph: HeteroGraph, dim: int = 128, seed: int = 0,
-                 params: dict = None):
-        if dim <= 0:
-            raise ValueError("dim must be positive")
-        self.graph = graph
-        self.dim = dim
-        if params is None:
-            params = {}
-            bound = 1.0 / np.sqrt(dim)
-            for d in range(graph.num_domains):
-                # one stream per domain: domain d's draw never depends on
-                # the other domains' table sizes
-                rng = np.random.default_rng([seed, MF_STREAM, d])
-                params[f"user_emb/d{d}"] = rng.uniform(
-                    -bound, bound, size=(graph.num_users, dim))
-                params[f"item_emb/d{d}"] = rng.uniform(
-                    -bound, bound, size=(graph.num_items_per_domain[d], dim))
-        super().__init__(params)
-
-    def param_shapes(self):
-        g = self.graph
-        shapes = []
-        for d in range(g.num_domains):
-            shapes.append((f"user_emb/d{d}", (g.num_users, self.dim)))
-            shapes.append((f"item_emb/d{d}", (g.num_items_per_domain[d], self.dim)))
-        return shapes
-
-    def forward(self) -> Activations:
-        acts = Activations()
-        for d in range(self.graph.num_domains):
-            acts.o_u.append(self.params[f"user_emb/d{d}"])
-            acts.o_i.append(self.params[f"item_emb/d{d}"])
-        return acts
-
-    def backward(self, acts: Activations, do_u: list, do_i: list) -> dict:
-        """The output gradients are the table gradients, added into the
-        zeroed gradient vector; returns a dict of views of it by name.
-        Nothing lies between the tables and the outputs, so the scratch
-        goes unused."""
-        for d in range(self.graph.num_domains):
-            if do_u[d].shape != acts.o_u[d].shape or do_i[d].shape != acts.o_i[d].shape:
-                raise ValueError(f"upstream gradient shape mismatch in domain {d}")
-        grads = self._zeroed_grads()
-        for d in range(self.graph.num_domains):
-            grads[f"user_emb/d{d}"] += do_u[d]
-            grads[f"item_emb/d{d}"] += do_i[d]
-        return grads
 
 
 @dataclass

@@ -29,7 +29,7 @@ from .data import (
 )
 from .evaluation import build_eval_tasks, evaluate, format_metric_table, write_metrics_kv
 from .graph import build_graph
-from .model import MODES, load_checkpoint, save_checkpoint
+from .model import ALL_MODES, load_checkpoint, save_checkpoint
 from .training import (
     TrainConfig,
     fit,
@@ -39,8 +39,6 @@ from .training import (
     resolve_domain_weights,
     sample_triplets,
 )
-
-MODE_CHOICES = MODES + ("mf",)
 
 
 def parse_config_file(path: str) -> dict:
@@ -84,12 +82,6 @@ def _weights(s: str):
     return "auto" if s == "auto" else [float(x) for x in s.split(",")]
 
 
-def _mode(s: str) -> str:
-    if s not in MODE_CHOICES:
-        raise ValueError(f"mode must be one of {MODE_CHOICES}, got {s!r}")
-    return s
-
-
 def _ints(s: str) -> list:
     return [int(x) for x in s.split(",")]
 
@@ -123,15 +115,14 @@ class GradcheckSpec:
 
 
 TRAIN_KEYS = config_keys(TrainConfig, domain_weights=_weights,
-                         triplets_per_epoch=_int_or_none, mode=_mode)
+                         triplets_per_epoch=_int_or_none)
 SYNTH_KEYS = config_keys(SyntheticSpec)
-GRADCHECK_KEYS = config_keys(GradcheckSpec, items_per_domain=_ints, mode=_mode,
-                             corrupt_param=str)
+GRADCHECK_KEYS = config_keys(GradcheckSpec, items_per_domain=_ints, corrupt_param=str)
 
 # eval draws its negatives as fit's validation does
 EVAL_KEYS = {k: TRAIN_KEYS[k] for k in ("num_eval_negatives", "seed")}
 BENCH_KEYS = {k: v for k, v in TRAIN_KEYS.items() if k not in ("mode", "seed")} | {
-    "modes": lambda s: [_mode(x) for x in s.split(",")],
+    "modes": lambda s: s.split(","),
     "seeds": _ints,
 }
 
@@ -325,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="interaction TSV (overrides config data=)")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=MODE_CHOICES)
+    p.add_argument("--mode", choices=ALL_MODES)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the held-out split")
@@ -339,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="compare analytic gradients to finite differences")
     p.add_argument("--config", help="optional key=value gradcheck config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--mode", choices=ALL_MODES)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate a synthetic multi-domain dataset")

@@ -102,13 +102,12 @@ class HeteroGraph:
         key = (domain_id, mean)
         if key not in self._aggregators:
             offsets, items = self._csrs[domain_id]
-            users, _ = self._edges[domain_id]
-            num_items = self.num_items_per_domain[domain_id]
-            item_offsets, item_users = _csr_from_edges(items, users, num_items,
-                                                       self.num_users)
+            to_users = _aggregator(offsets, items, self.num_items_per_domain[domain_id], mean)
+            # its transpose is the item-major CSR, users sorted within each row
+            item_major = to_users.matrix_t
             self._aggregators[key] = Aggregators(
-                _aggregator(offsets, items, num_items, mean),
-                _aggregator(item_offsets, item_users, self.num_users, mean))
+                to_users, _aggregator(item_major.indptr, item_major.indices,
+                                      self.num_users, mean))
         return self._aggregators[key]
 
 

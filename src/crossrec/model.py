@@ -12,6 +12,10 @@ user/item affinity is a dot product.
 Both the forward pass and the exact reverse-mode backward pass are
 spelled out here by hand; no autograd is involved anywhere.
 
+The matrix-factorization baseline (MfModel) lives here too, so this
+module alone knows every model kind (ALL_MODES), its checkpoint kind id
+and how to build it.
+
 Within a layer each path reads only the layer below, so the paths are
 independent tasks. Once a layer is big enough to pay for the hand-off
 (PARALLEL_MIN_ELEMENTS) they run on a pool of CONV_THREADS threads,
@@ -41,11 +45,12 @@ from .numeric import FlatArrays, Scratch, check_finite
 PATH_KINDS = {"full": ("spec", "shared"), "specific_only": ("spec",),
               "shared_only": ("shared",)}
 MODES = tuple(PATH_KINDS)
+# every model kind: the conv modes, then the factorization baseline; a
+# mode's index here is its checkpoint kind id
+ALL_MODES = (*MODES, "mf")
 
-# checkpoint kind ids; 3 is the matrix-factorization baseline
-KIND_BY_MODE = {"full": 0, "specific_only": 1, "shared_only": 2}
-MODE_BY_KIND = {v: k for k, v in KIND_BY_MODE.items()}
-MF_KIND = 3
+# rng stream tag of the factorization baseline's init
+MF_STREAM = 3
 
 CHECKPOINT_MAGIC = b"DGM1"
 
@@ -176,13 +181,25 @@ class FlatModel:
     def grad_vector(self) -> np.ndarray:
         return self._grads.data
 
+    def delta_shapes(self) -> list:
+        """Shapes of the scratch arrays backward takes; none by default."""
+        return []
+
     def _zeroed_grads(self) -> dict:
         """Zero the gradient vector; a new dict of views of it by name."""
         self._grads.data.fill(0.0)
         return dict(self._grads.views)
 
+    def _check_upstream(self, acts, do_u: list, do_i: list) -> None:
+        """Reject output gradients whose shapes differ from the outputs'."""
+        for d in range(self.graph.num_domains):
+            if do_u[d].shape != acts.o_u[d].shape or do_i[d].shape != acts.o_i[d].shape:
+                raise ValueError(f"upstream gradient shape mismatch in domain {d}")
+
     def outputs(self):
-        """(o_u, o_i) lists without keeping the caches."""
+        """(o_u, o_i) lists of the fused output tables. This runs the
+        training forward, so every forward cache is held until it
+        returns; only the outputs outlive the call."""
         acts = self.forward()
         return acts.o_u, acts.o_i
 
@@ -455,9 +472,7 @@ class DisentangledGraphModel(FlatModel):
         P, L, D = self.params, self.layers, self.graph.num_domains
         if len(acts.o_u) != D or len(acts.paths) != len(self.paths):
             raise ValueError("activations do not match this model")
-        for d in range(D):
-            if do_u[d].shape != acts.o_u[d].shape or do_i[d].shape != acts.o_i[d].shape:
-                raise ValueError(f"upstream gradient shape mismatch in domain {d}")
+        self._check_upstream(acts, do_u, do_i)
 
         grads = self._zeroed_grads()
         aggs = [self.graph.aggregators(d, self.mean_aggregation) for d in range(D)]
@@ -495,33 +510,81 @@ class DisentangledGraphModel(FlatModel):
         return grads
 
 
+class MfModel(FlatModel):
+    """Independent per-domain matrix factorization.
+
+    Outputs are the embedding tables themselves; there is no parameter
+    sharing or message passing, so domain d is untouched by anything
+    happening in other domains (given fixed domain weights).
+    """
+
+    # the checkpoint header's fields, as a conv model holds them
+    mode = "mf"
+    layers = 0
+    tie_relation_weights = mean_aggregation = False
+
+    def __init__(self, graph: HeteroGraph, dim: int = 128, seed: int = 0,
+                 params: dict = None):
+        if dim <= 0:
+            raise ValueError("dim must be positive")
+        self.graph = graph
+        self.dim = dim
+        if params is None:
+            params = {}
+            bound = 1.0 / np.sqrt(dim)
+            for d in range(graph.num_domains):
+                # one stream per domain: domain d's draw never depends on
+                # the other domains' table sizes
+                rng = np.random.default_rng([seed, MF_STREAM, d])
+                params[f"user_emb/d{d}"] = rng.uniform(
+                    -bound, bound, size=(graph.num_users, dim))
+                params[f"item_emb/d{d}"] = rng.uniform(
+                    -bound, bound, size=(graph.num_items_per_domain[d], dim))
+        super().__init__(params)
+
+    def param_shapes(self):
+        g = self.graph
+        shapes = []
+        for d in range(g.num_domains):
+            shapes.append((f"user_emb/d{d}", (g.num_users, self.dim)))
+            shapes.append((f"item_emb/d{d}", (g.num_items_per_domain[d], self.dim)))
+        return shapes
+
+    def forward(self) -> Activations:
+        acts = Activations()
+        for d in range(self.graph.num_domains):
+            acts.o_u.append(self.params[f"user_emb/d{d}"])
+            acts.o_i.append(self.params[f"item_emb/d{d}"])
+        return acts
+
+    def backward(self, acts: Activations, do_u: list, do_i: list) -> dict:
+        """The output gradients are the table gradients, added into the
+        zeroed gradient vector; returns a dict of views of it by name.
+        Nothing lies between the tables and the outputs, so the scratch
+        goes unused."""
+        self._check_upstream(acts, do_u, do_i)
+        grads = self._zeroed_grads()
+        for d in range(self.graph.num_domains):
+            grads[f"user_emb/d{d}"] += do_u[d]
+            grads[f"item_emb/d{d}"] += do_i[d]
+        return grads
+
+
 # -- checkpoint serialization ----------------------------------------------
-
-
-def _model_header(model):
-    if hasattr(model, "mode"):
-        kind = KIND_BY_MODE[model.mode]
-        layers = model.layers
-        flags = (1 if model.tie_relation_weights else 0) | (2 if model.mean_aggregation else 0)
-    else:
-        kind = MF_KIND
-        layers = 0
-        flags = 0
-    return kind, layers, flags
 
 
 def save_checkpoint(model, path: str) -> None:
     """Write magic, config block, then every matrix in canonical order
     as little-endian float64."""
     g = model.graph
-    kind, layers, flags = _model_header(model)
+    flags = (1 if model.tie_relation_weights else 0) | (2 if model.mean_aggregation else 0)
     shapes = model.param_shapes()
     with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", kind, g.num_domains))
+        fh.write(struct.pack("<II", ALL_MODES.index(model.mode), g.num_domains))
         fh.write(struct.pack("<I", g.num_users))
         fh.write(struct.pack(f"<{g.num_domains}I", *g.num_items_per_domain))
-        fh.write(struct.pack("<IIII", model.dim, layers, flags, len(shapes)))
+        fh.write(struct.pack("<IIII", model.dim, model.layers, flags, len(shapes)))
         for name, shape in shapes:
             arr = model.params[name]
             encoded = name.encode("utf-8")
@@ -573,19 +636,19 @@ def load_checkpoint(path: str, graph: HeteroGraph):
 
     if flags & ~3:
         raise ValueError(f"{path}: unknown checkpoint flags {flags:#x}")
-    if kind == MF_KIND:
+    if kind >= len(ALL_MODES):
+        raise ValueError(f"{path}: unknown checkpoint kind {kind}")
+    mode = ALL_MODES[kind]
+    if mode == "mf":
         if layers or flags:
             raise ValueError(f"{path}: mf checkpoint with layers {layers} and flags "
                              f"{flags:#x}; both must be 0")
-        from .baselines import MfModel
         return MfModel(graph, dim=dim, params=params)
-    if kind not in MODE_BY_KIND:
-        raise ValueError(f"{path}: unknown checkpoint kind {kind}")
     # every conv layer owns at least one stored matrix, and the file holds
     # n_params of them, so this bounds the work of building the model
     if not 1 <= layers <= n_params:
         raise ValueError(f"{path}: checkpoint layers {layers} outside [1, {n_params}]")
     return DisentangledGraphModel(
-        graph, dim=dim, layers=layers, mode=MODE_BY_KIND[kind],
+        graph, dim=dim, layers=layers, mode=mode,
         tie_relation_weights=bool(flags & 1), mean_aggregation=bool(flags & 2),
         params=params)

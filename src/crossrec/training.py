@@ -26,7 +26,7 @@ from scipy.special import expit
 from .data import SplitResult, split_leave_latest
 from .evaluation import build_eval_tasks, evaluate
 from .graph import HeteroGraph, build_graph
-from .model import DisentangledGraphModel
+from .model import ALL_MODES, DisentangledGraphModel, MfModel
 from .numeric import AdamState, Scratch, adam_step, check_seed, finite_diff_grad
 
 logger = logging.getLogger(__name__)
@@ -51,7 +51,7 @@ class TrainConfig:
     domain_weights: object = "auto"   # "auto" or list of positive floats
     triplets_per_epoch: int = None    # None -> one expected pass over |E_d|
     seed: int = 0
-    mode: str = "full"                # full | specific_only | shared_only | mf
+    mode: str = "full"                # one of model.ALL_MODES
     tie_relation_weights: bool = False
     mean_aggregation: bool = False
     reg_per_domain: bool = False      # weight the L2 term by each beta_d
@@ -60,6 +60,8 @@ class TrainConfig:
     num_eval_negatives: int = 99
 
     def __post_init__(self):
+        if self.mode not in ALL_MODES:
+            raise ValueError(f"mode must be one of {ALL_MODES}, got {self.mode!r}")
         # written so that NaN fails the test too
         if not 0 <= self.lambda_reg < math.inf:
             raise ValueError("lambda_reg must be nonnegative and finite")
@@ -277,7 +279,7 @@ class Trainer:
         # size the scratch for the backward's deltas (graph models keep
         # some) now rather than in the first step: on M that halves an
         # epoch's page faults in a fresh process
-        model.scratch.take(*getattr(model, "delta_shapes", list)())
+        model.scratch.take(*model.delta_shapes())
 
     def _sample_all(self) -> dict:
         batches = {}
@@ -301,7 +303,6 @@ class Trainer:
 
 def make_model(graph: HeteroGraph, config: TrainConfig):
     if config.mode == "mf":
-        from .baselines import MfModel
         return MfModel(graph, dim=config.dim, seed=config.seed)
     return DisentangledGraphModel(
         graph, dim=config.dim, layers=config.layers, mode=config.mode,

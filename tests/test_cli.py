@@ -385,6 +385,33 @@ def test_gradcheck_two_seeds_pass(capsys):
     assert capsys.readouterr().out.count("PASS") == 2
 
 
+@pytest.mark.parametrize("mode", ["specific_only", "shared_only", "mf"])
+def test_gradcheck_takes_every_mode_as_a_flag(capsys, mode):
+    # the flag accepts the same modes as the config key and train --mode
+    rc = main(["gradcheck", "--seed", "2", "--mode", mode])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines()[-1].startswith("PASS")
+    assert ("user_emb/d0\t" in out) == (mode == "mf")
+
+
+@pytest.mark.parametrize("command,line", [("train", "mode=bogus"),
+                                          ("gradcheck", "mode=bogus"),
+                                          ("bench", "modes=full,bogus")])
+def test_unknown_mode_in_a_config_is_one_error_line(tmp_path, tiny_tsv, capsys,
+                                                    command, line):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg)]
+    if command != "gradcheck":
+        argv += ["--data", tiny_tsv, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ("error: mode must be one of ('full', "
+                                       "'specific_only', 'shared_only', 'mf'), got 'bogus'\n")
+    assert not out.exists()
+
+
 def test_gradcheck_rejects_more_edges_than_pairs(tmp_path, capsys):
     cfg = tmp_path / "g.cfg"
     cfg.write_text("num_users=1\nitems_per_domain=1,1\nnum_edges=5\n")

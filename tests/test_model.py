@@ -641,6 +641,33 @@ def test_mf_checkpoint_rejects_conv_header_fields(tmp_path):
         load_checkpoint(both, model.graph)
 
 
+@pytest.mark.parametrize("mode,kind", [("full", 0), ("specific_only", 1),
+                                       ("shared_only", 2), ("mf", 3)])
+def test_checkpoint_kind_id_round_trips(tmp_path, mode, kind):
+    # the kind ids are part of the file format: ALL_MODES keeps this order
+    graph = small_model(seed=37).graph
+    model = make_model(graph, TrainConfig(dim=4, mode=mode, seed=1))
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    assert struct.unpack_from("<I", open(path, "rb").read(), 4)[0] == kind
+    loaded = load_checkpoint(path, graph)
+    assert type(loaded) is type(model) and loaded.mode == mode
+    assert np.array_equal(loaded.param_vector, model.param_vector)
+
+
+def test_checkpoint_rejects_unknown_kind(tmp_path):
+    model = small_model(seed=38)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    buf = bytearray(open(path, "rb").read())
+    for kind in (len(conv.ALL_MODES), 2 ** 31):
+        struct.pack_into("<I", buf, 4, kind)
+        bad = str(tmp_path / f"kind-{kind}.ckpt")
+        open(bad, "wb").write(bytes(buf))
+        with pytest.raises(ValueError, match=f"unknown checkpoint kind {kind}$"):
+            load_checkpoint(bad, model.graph)
+
+
 def test_checkpoint_rejects_wrong_graph(tmp_path):
     model = small_model(seed=31, num_users=8)
     rng = np.random.default_rng(32)

@@ -423,6 +423,18 @@ def test_train_config_validation():
                 num_eval_negatives=1, layers=1, seed=2**64 - 1)
 
 
+def test_train_config_rejects_an_unknown_mode():
+    # the message names every model kind, the baseline included
+    with pytest.raises(ValueError) as info:
+        TrainConfig(mode="bogus")
+    message = str(info.value)
+    assert "'bogus'" in message
+    for mode in ("full", "specific_only", "shared_only", "mf"):
+        assert repr(mode) in message
+    for mode in ("full", "specific_only", "shared_only", "mf"):
+        assert TrainConfig(mode=mode).mode == mode
+
+
 def test_zero_lr_epoch_keeps_parameters():
     graph, _, model = small_setup(seed=11)
     before = {k: v.copy() for k, v in model.params.items()}
