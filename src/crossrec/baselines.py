@@ -126,6 +126,8 @@ def random_log(rng, num_users: int, items_per_domain, num_edges: int) -> Interac
     Draws one (user, item) per domain in turn, then (domain, user, item)
     triples, dropping repeats, until num_edges edges are drawn.
     """
+    if min(items_per_domain) < 1:
+        raise ValueError(f"items_per_domain has a domain with no items: {items_per_domain}")
     pairs = num_users * sum(items_per_domain)
     if num_edges < len(items_per_domain):
         raise ValueError(f"num_edges={num_edges} is below the {len(items_per_domain)} "

@@ -27,11 +27,12 @@ from .data import (
     utf8_error,
     write_interactions_tsv,
 )
-from .evaluation import build_eval_tasks, evaluate, format_metric_table, write_metrics_kv
+from .evaluation import evaluate, format_metric_table, write_metrics_kv
 from .graph import build_graph
 from .model import ALL_MODES, load_checkpoint, save_checkpoint
 from .training import (
     TrainConfig,
+    config_eval_tasks,
     fit,
     format_epoch_line,
     gradient_check,
@@ -98,29 +99,27 @@ def config_keys(cls, **parsers) -> dict:
 
 @dataclass
 class GradcheckSpec:
-    """The gradient check's random graph, model and objective."""
+    """The gradient check's random graph and objective; its model's
+    settings are TrainConfig's."""
 
     num_users: int = 6
     items_per_domain: tuple = (5, 4)
     num_edges: int = 14
-    dim: int = 4
-    layers: int = 2
-    mode: str = "full"
-    tie_relation_weights: bool = False
-    mean_aggregation: bool = False
-    lambda_reg: float = 1e-3
     triplets: int = 12
-    seed: int = 0
     corrupt_param: str = None  # negative-control hook: breaks one gradient
 
 
 TRAIN_KEYS = config_keys(TrainConfig, domain_weights=_weights,
                          triplets_per_epoch=_int_or_none)
 SYNTH_KEYS = config_keys(SyntheticSpec)
-GRADCHECK_KEYS = config_keys(GradcheckSpec, items_per_domain=_ints, corrupt_param=str)
 
 # eval draws its negatives as fit's validation does
 EVAL_KEYS = {k: TRAIN_KEYS[k] for k in ("num_eval_negatives", "seed")}
+# gradcheck's model takes these training keys, two with defaults of its own
+GRADCHECK_DEFAULTS = {"dim": 4, "lambda_reg": 1e-3}
+GRADCHECK_KEYS = config_keys(GradcheckSpec, items_per_domain=_ints, corrupt_param=str) | {
+    k: TRAIN_KEYS[k] for k in ("dim", "layers", "mode", "tie_relation_weights",
+                               "mean_aggregation", "lambda_reg", "seed")}
 BENCH_KEYS = {k: v for k, v in TRAIN_KEYS.items() if k not in ("mode", "seed")} | {
     "modes": lambda s: s.split(","),
     "seeds": _ints,
@@ -131,11 +130,7 @@ def coerce(raw: dict, schema: dict, allow: tuple = ()) -> dict:
     unknown = set(raw) - set(schema) - set(allow)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    out = {}
-    for key, value in raw.items():
-        if key in schema:
-            out[key] = schema[key](value)
-    return out
+    return {key: schema[key](value) for key, value in raw.items() if key in schema}
 
 
 def _load_config(path, schema, allow=(), **flags):
@@ -160,15 +155,6 @@ def _ensure_out(path: str) -> str:
         raise ValueError("missing required --out directory")
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def _eval_tasks(split, graph, config: TrainConfig):
-    """The split's eval tasks; none at all is an error."""
-    tasks = build_eval_tasks(split, graph, seed=config.seed,
-                             num_negatives=config.num_eval_negatives)
-    if not len(tasks):
-        raise ValueError("no eval tasks could be built (candidate pools too small?)")
-    return tasks
 
 
 # -- commands ------------------------------------------------------------------
@@ -213,7 +199,7 @@ def cmd_eval(args) -> int:
     split = split_leave_latest(log)
     graph = build_graph(split.train)
     model = load_checkpoint(ckpt, graph)
-    tasks = _eval_tasks(split, graph, config)
+    tasks = config_eval_tasks(split, graph, config)
     reports = evaluate(model, tasks)
     print(format_metric_table(reports, domain_names=log.domain_names))
     if args.out:
@@ -225,19 +211,17 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     kwargs, _ = _load_config(args.config, GRADCHECK_KEYS, seed=args.seed, mode=args.mode)
-    spec = GradcheckSpec(**kwargs)
-    graph = build_graph(random_log(np.random.default_rng(spec.seed), spec.num_users,
+    train = {k: v for k, v in kwargs.items() if k in TRAIN_KEYS}
+    config = TrainConfig(**GRADCHECK_DEFAULTS | train)
+    spec = GradcheckSpec(**{k: v for k, v in kwargs.items() if k not in train})
+    graph = build_graph(random_log(np.random.default_rng(config.seed), spec.num_users,
                                    spec.items_per_domain, spec.num_edges))
-    config = TrainConfig(dim=spec.dim, layers=spec.layers, mode=spec.mode, seed=spec.seed,
-                         lambda_reg=spec.lambda_reg,
-                         tie_relation_weights=spec.tie_relation_weights,
-                         mean_aggregation=spec.mean_aggregation)
     model = make_model(graph, config)
     betas = resolve_domain_weights(graph, "auto")
     batches = {d: sample_triplets(graph, d, spec.triplets,
-                                  np.random.default_rng([spec.seed, 99, d]))
+                                  np.random.default_rng([config.seed, 99, d]))
                for d in range(graph.num_domains)}
-    report = gradient_check(model, batches, betas, lambda_reg=spec.lambda_reg,
+    report = gradient_check(model, batches, betas, lambda_reg=config.lambda_reg,
                             corrupt_param=spec.corrupt_param)
     worst = max(report.values())
     for name in sorted(report):
@@ -271,7 +255,7 @@ def cmd_bench(args) -> int:
     rows = []
     for config in configs:
         result = fit(split, config)
-        tasks = _eval_tasks(split, result.graph, config)
+        tasks = config_eval_tasks(split, result.graph, config)
         for m in evaluate(result.model, tasks):
             rows.append("\t".join(str(c) for c in (
                 config.mode, config.seed, m.domain_id, m.num_users, m.hr_at_10,

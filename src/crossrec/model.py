@@ -235,6 +235,24 @@ class Activations:
     o_i: list = field(default_factory=list)  # [d] item outputs
 
 
+def check_settings(mode: str, dim: int, layers: int, tie_relation_weights: bool,
+                   modes: tuple = ALL_MODES) -> None:
+    """The rules on model settings: TrainConfig applies them over
+    ALL_MODES, the conv model (so every conv checkpoint load) over
+    MODES. Tied weights alias specific-path matrices: "full" only. mf
+    reads only dim and seed; it leaves layers and mean_aggregation
+    unread, not refused, so one config can serve every mode."""
+    if mode not in modes:
+        raise ValueError(f"mode must be one of {modes}, got {mode!r}")
+    if dim <= 0:
+        raise ValueError("dim must be positive")
+    if layers < 1:
+        raise ValueError("layers must be at least 1")
+    if tie_relation_weights and mode != "full":
+        raise ValueError("tie_relation_weights requires mode='full' "
+                         "(tied matrices live on the specific path)")
+
+
 class DisentangledGraphModel(FlatModel):
     """Two-path graph conv model over a frozen HeteroGraph.
 
@@ -248,15 +266,7 @@ class DisentangledGraphModel(FlatModel):
     def __init__(self, graph: HeteroGraph, dim: int = 128, layers: int = 2,
                  mode: str = "full", tie_relation_weights: bool = False,
                  mean_aggregation: bool = False, seed: int = 0, params: dict = None):
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-        if dim <= 0:
-            raise ValueError("dim must be positive")
-        if layers < 1:
-            raise ValueError("need at least one conv layer")
-        if tie_relation_weights and mode != "full":
-            raise ValueError("tie_relation_weights requires mode='full' "
-                             "(tied matrices live on the specific path)")
+        check_settings(mode, dim, layers, tie_relation_weights, modes=MODES)
         self.graph = graph
         self.dim = dim
         self.layers = layers

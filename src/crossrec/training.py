@@ -26,7 +26,7 @@ from scipy.special import expit
 from .data import SplitResult, split_leave_latest
 from .evaluation import build_eval_tasks, evaluate
 from .graph import HeteroGraph, build_graph
-from .model import ALL_MODES, DisentangledGraphModel, MfModel
+from .model import DisentangledGraphModel, MfModel, check_settings
 from .numeric import AdamState, Scratch, adam_step, check_seed, finite_diff_grad
 
 logger = logging.getLogger(__name__)
@@ -40,6 +40,9 @@ BPR_CHUNK = 1024
 
 @dataclass
 class TrainConfig:
+    """A training run's settings, checked when made; model.check_settings
+    holds the rules on mode, dim, layers and tied weights."""
+
     epochs: int = 200
     dim: int = 128
     layers: int = 2
@@ -60,8 +63,7 @@ class TrainConfig:
     num_eval_negatives: int = 99
 
     def __post_init__(self):
-        if self.mode not in ALL_MODES:
-            raise ValueError(f"mode must be one of {ALL_MODES}, got {self.mode!r}")
+        check_settings(self.mode, self.dim, self.layers, self.tie_relation_weights)
         # written so that NaN fails the test too
         if not 0 <= self.lambda_reg < math.inf:
             raise ValueError("lambda_reg must be nonnegative and finite")
@@ -69,10 +71,6 @@ class TrainConfig:
             raise ValueError("lr must be nonnegative and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        if self.dim <= 0:
-            raise ValueError("dim must be positive")
-        if self.layers < 1:
-            raise ValueError("layers must be at least 1")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if not 0 < self.eps < math.inf:
@@ -310,6 +308,18 @@ def make_model(graph: HeteroGraph, config: TrainConfig):
         mean_aggregation=config.mean_aggregation, seed=config.seed)
 
 
+def config_eval_tasks(split: SplitResult, graph: HeteroGraph, config: TrainConfig,
+                      validation: bool = False):
+    """The split's eval tasks under the config's seed and
+    num_eval_negatives; none at all is a ValueError."""
+    tasks = build_eval_tasks(split, graph, seed=config.seed,
+                             num_negatives=config.num_eval_negatives)
+    if not len(tasks):
+        what, hint = ("validation", " for num_eval_negatives") if validation else ("eval", "")
+        raise ValueError(f"no {what} tasks could be built (candidate pools too small{hint}?)")
+    return tasks
+
+
 @dataclass
 class FitResult:
     model: object
@@ -326,18 +336,10 @@ def fit(split: SplitResult, config: TrainConfig, log_stream=None) -> FitResult:
     carries those parameters; a validation side with no task to rank
     raises ValueError before training starts.
     """
-    train_log = split.train
-    val_split = None
-    if config.use_validation:
-        val_split = split_leave_latest(train_log)
-        train_log = val_split.train
-    graph = build_graph(train_log)
+    val_split = split_leave_latest(split.train) if config.use_validation else None
+    graph = build_graph(split.train if val_split is None else val_split.train)
     if val_split is not None:
-        val_tasks = build_eval_tasks(val_split, graph, seed=config.seed,
-                                     num_negatives=config.num_eval_negatives)
-        if not len(val_tasks):
-            raise ValueError("no validation tasks could be built (candidate pools too small "
-                             "for num_eval_negatives?)")
+        val_tasks = config_eval_tasks(val_split, graph, config, validation=True)
     model = make_model(graph, config)
     trainer = Trainer(model, config)
 

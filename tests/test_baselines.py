@@ -251,6 +251,12 @@ def test_random_log_fills_every_pair_and_rejects_more():
         random_log(np.random.default_rng(0), 2, (2, 1), 7)
 
 
+@pytest.mark.parametrize("items", [(0, 4), (3, -1)])
+def test_random_log_rejects_a_domain_without_items(items):
+    with pytest.raises(ValueError, match=r"^items_per_domain has a domain with no items"):
+        random_log(np.random.default_rng(0), 6, items, 14)
+
+
 def test_random_log_rejects_fewer_edges_than_domains():
     assert len(random_log(np.random.default_rng(0), 3, (2, 2, 2), 3).interactions) == 3
     with pytest.raises(ValueError, match="num_edges=1 is below the 3 domains"):

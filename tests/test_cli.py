@@ -2,6 +2,7 @@
 config parsing, determinism of artifacts, exit codes."""
 
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,9 +11,10 @@ import pytest
 from crossrec import cli
 from crossrec.cli import main, parse_config_file
 from crossrec.data import parse_log
-from crossrec.training import fit
+from crossrec.model import ALL_MODES, MODES, DisentangledGraphModel
+from crossrec.training import TrainConfig, fit
 
-from helpers import tiny_overfit_log
+from helpers import random_graph, tiny_overfit_log
 
 
 @pytest.fixture()
@@ -84,6 +86,57 @@ def test_out_of_range_config_is_rejected_up_front(tmp_path, tiny_tsv, capsys,
     assert err.startswith("error:") and key in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+def test_every_command_takes_its_pinned_key_set():
+    # each command's keys, as README's CLI reference lists them
+    train = {"epochs", "dim", "layers", "lr", "beta1", "beta2", "eps", "lambda_reg",
+             "domain_weights", "triplets_per_epoch", "seed", "mode", "tie_relation_weights",
+             "mean_aggregation", "reg_per_domain", "use_validation", "eval_every",
+             "num_eval_negatives"}
+    surfaces = {
+        "TRAIN_KEYS": train,
+        "EVAL_KEYS": {"num_eval_negatives", "seed"},
+        "BENCH_KEYS": train - {"mode", "seed"} | {"modes", "seeds"},
+        "SYNTH_KEYS": {"num_users", "items_per_domain", "num_domains", "latent_dim",
+                       "shared_signal", "interactions_per_user", "temperature", "seed",
+                       "matched_item_latents"},
+        "GRADCHECK_KEYS": {"num_users", "items_per_domain", "num_edges", "triplets",
+                           "corrupt_param", "dim", "layers", "mode", "tie_relation_weights",
+                           "mean_aggregation", "lambda_reg", "seed"},
+    }
+    readme_path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme_path, encoding="utf-8") as fh:
+        reference = fh.read().split("## CLI reference")[1].split("\n## ")[0]
+    documented = {word.split("=")[0] for span in re.findall(r"`([^`]*)`", reference)
+                  for word in span.split()}
+    for name, keys in surfaces.items():
+        assert set(getattr(cli, name)) == keys, name
+        assert keys <= documented, (name, keys - documented)
+
+
+@pytest.mark.parametrize("settings,message", [
+    ({"dim": 0}, "dim must be positive"),
+    ({"layers": 0}, "layers must be at least 1"),
+    ({"mode": "bogus"}, "mode must be one of {modes}, got 'bogus'"),
+    ({"mode": "shared_only", "tie_relation_weights": True},
+     "tie_relation_weights requires mode='full' (tied matrices live on the specific path)"),
+], ids=["dim_zero", "layers_zero", "mode_bogus", "tie_shared_only"])
+def test_bad_model_settings_get_one_message_everywhere(tmp_path, capsys, settings, message):
+    # the conv model names only its own modes; the rest also take mf
+    with pytest.raises(ValueError) as info:
+        TrainConfig(**settings)
+    assert str(info.value) == message.format(modes=ALL_MODES)
+    graph, _ = random_graph(np.random.default_rng(1), 4, (3, 3), 8)
+    with pytest.raises(ValueError) as info:
+        DisentangledGraphModel(graph, **{"dim": 4, **settings})
+    assert str(info.value) == message.format(modes=MODES)
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
+    assert main(["gradcheck", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(modes=ALL_MODES)}\n"
 
 
 # -- prepare ------------------------------------------------------------------------
@@ -351,10 +404,12 @@ def test_train_with_validation_but_no_tasks_is_an_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("command", ["train", "eval", "gradcheck"])
 def test_out_of_range_seed_is_one_error_line(tmp_path, tiny_tsv, capsys, command, seed):
     argv = [command, "--data", tiny_tsv, "--seed", seed]
-    if command == "eval":
+    if command == "gradcheck":
+        argv = [command, "--seed", seed]  # refused before its graph is drawn
+    elif command == "eval":
         ckpt = tmp_path / "model.ckpt"
         ckpt.write_bytes(b"")  # never read: the seed is refused first
         argv += ["--checkpoint", str(ckpt)]
@@ -410,6 +465,17 @@ def test_unknown_mode_in_a_config_is_one_error_line(tmp_path, tiny_tsv, capsys,
     assert capsys.readouterr().err == ("error: mode must be one of ('full', "
                                        "'specific_only', 'shared_only', 'mf'), got 'bogus'\n")
     assert not out.exists()
+
+
+def test_gradcheck_refuses_tied_weights_for_mf(tmp_path, capsys):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("mode=mf\ntie_relation_weights=true\n")
+    rc = main(["gradcheck", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == ("error: tie_relation_weights requires mode='full' "
+                            "(tied matrices live on the specific path)\n")
 
 
 def test_gradcheck_rejects_more_edges_than_pairs(tmp_path, capsys):
@@ -524,6 +590,21 @@ def test_bench_appends_results(tmp_path, capsys, monkeypatch):
     assert captured.out == "" and captured.err == "error: injected failure\n"
     assert open(os.path.join(out, "results.tsv"), "rb").read() == before
     assert sorted(os.listdir(out)) == ["results.tsv"]
+
+
+def test_bench_refuses_a_tied_grid_before_reading_data(tmp_path, capsys):
+    # the full cells could train; the specific_only cells never can
+    bench_cfg = tmp_path / "bench.cfg"
+    bench_cfg.write_text("modes=full,specific_only\nseeds=0,1\ntie_relation_weights=true\n")
+    out = tmp_path / "bench"
+    rc = main(["bench", "--config", str(bench_cfg), "--data", str(tmp_path / "missing.tsv"),
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == ("error: tie_relation_weights requires mode='full' "
+                            "(tied matrices live on the specific path)\n")
+    assert not out.exists()
 
 
 def test_bench_without_tasks_is_an_error(tmp_path, tiny_tsv, capsys):

@@ -435,6 +435,22 @@ def test_train_config_rejects_an_unknown_mode():
         assert TrainConfig(mode=mode).mode == mode
 
 
+@pytest.mark.parametrize("mode", ["specific_only", "shared_only", "mf"])
+def test_train_config_refuses_tied_weights_without_both_paths(mode):
+    # only full has specific matrices for a shared path to alias, and mf neither
+    with pytest.raises(ValueError, match=r"^tie_relation_weights requires mode='full'"):
+        TrainConfig(mode=mode, tie_relation_weights=True)
+
+
+def test_mf_leaves_the_conv_settings_unread():
+    # README's train.cfg sets layers and mean_aggregation, and must run with --mode mf
+    config = TrainConfig(dim=4, mode="mf", layers=7, mean_aggregation=True)
+    graph, _ = random_graph(np.random.default_rng(5), 4, (3, 3), 8)
+    model = make_model(graph, config)
+    assert (model.mode, model.layers, model.mean_aggregation) == ("mf", 0, False)
+    assert sorted(model.params) == ["item_emb/d0", "item_emb/d1", "user_emb/d0", "user_emb/d1"]
+
+
 def test_zero_lr_epoch_keeps_parameters():
     graph, _, model = small_setup(seed=11)
     before = {k: v.copy() for k, v in model.params.items()}
