@@ -130,7 +130,14 @@ def coerce(raw: dict, schema: dict, allow: tuple = ()) -> dict:
     unknown = set(raw) - set(schema) - set(allow)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return {key: schema[key](value) for key, value in raw.items() if key in schema}
+    kwargs = {}
+    for key, value in raw.items():
+        if key in schema:
+            try:
+                kwargs[key] = schema[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+    return kwargs
 
 
 def _load_config(path, schema, allow=(), **flags):
@@ -337,8 +344,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

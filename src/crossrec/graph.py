@@ -35,14 +35,6 @@ def _csr_from_edges(targets, sources, num_targets, num_sources):
     return offsets, keys % num_sources
 
 
-def _aggregator(offsets, indices, num_sources, mean):
-    """Neighbor sum over a CSR; with ``mean`` each edge weighs
-    1/degree of its target (isolated targets produce zero rows)."""
-    degrees = np.diff(offsets)
-    weights = np.repeat(1.0 / np.maximum(degrees, 1), degrees) if mean else None
-    return CsrAggregator(offsets, indices, num_sources, weights=weights)
-
-
 class HeteroGraph:
     """Immutable per-domain user-major CSR adjacency."""
 
@@ -98,16 +90,17 @@ class HeteroGraph:
         return self._bits[domain_id]
 
     def aggregators(self, domain_id: int, mean: bool = False) -> Aggregators:
-        """Cached (to_users, to_items) neighbor-sum operators of a domain."""
+        """Cached (to_users, to_items) neighbor-sum operators of a domain;
+        with ``mean`` each edge weighs 1/degree of its target."""
         key = (domain_id, mean)
         if key not in self._aggregators:
             offsets, items = self._csrs[domain_id]
-            to_users = _aggregator(offsets, items, self.num_items_per_domain[domain_id], mean)
+            to_users = CsrAggregator(offsets, items, self.num_items_per_domain[domain_id], mean)
             # its transpose is the item-major CSR, users sorted within each row
             item_major = to_users.matrix_t
             self._aggregators[key] = Aggregators(
-                to_users, _aggregator(item_major.indptr, item_major.indices,
-                                      self.num_users, mean))
+                to_users, CsrAggregator(item_major.indptr, item_major.indices,
+                                        self.num_users, mean))
         return self._aggregators[key]
 
 

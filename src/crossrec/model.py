@@ -33,7 +33,7 @@ import struct
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -65,26 +65,19 @@ ConvWeights = namedtuple("ConvWeights", "uu ii iu ui")
 # more than the second CPU gives, and near it the gain is noise.
 PARALLEL_MIN_ELEMENTS = 2**16
 CONV_THREADS = 2
-# one pool for the process, started on first use, as BLAS keeps one: its
-# threads serve every model, so their malloc arenas are made only once
-_pool = None
 
 
+@cache
 def _conv_pool() -> ThreadPoolExecutor:
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(max_workers=CONV_THREADS,
-                                   thread_name_prefix="crossrec-conv")
-    return _pool
+    """The process's one conv pool, started on first use, as BLAS keeps
+    one: its threads serve every model, so their malloc arenas are made
+    only once. A forked child has none of its parent's threads, so the
+    fork hook below empties the cache and the child starts a pool of
+    its own."""
+    return ThreadPoolExecutor(max_workers=CONV_THREADS, thread_name_prefix="crossrec-conv")
 
 
-def _forget_pool() -> None:
-    global _pool
-    _pool = None
-
-
-# a forked child has none of its parent's threads: it starts a pool of its own
-os.register_at_fork(after_in_child=_forget_pool)
+os.register_at_fork(after_in_child=_conv_pool.cache_clear)
 
 
 def run_tasks(tasks, sizes, parallel: bool) -> list:
@@ -244,10 +237,11 @@ def check_settings(mode: str, dim: int, layers: int, tie_relation_weights: bool,
     unread, not refused, so one config can serve every mode."""
     if mode not in modes:
         raise ValueError(f"mode must be one of {modes}, got {mode!r}")
-    if dim <= 0:
-        raise ValueError("dim must be positive")
-    if layers < 1:
-        raise ValueError("layers must be at least 1")
+    # a checkpoint header stores both as uint32
+    if not 0 < dim < 2**32:
+        raise ValueError("dim must be positive and below 2**32")
+    if not 1 <= layers < 2**32:
+        raise ValueError("layers must be at least 1 and below 2**32")
     if tie_relation_weights and mode != "full":
         raise ValueError("tie_relation_weights requires mode='full' "
                          "(tied matrices live on the specific path)")

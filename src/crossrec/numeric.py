@@ -50,8 +50,8 @@ class CsrAggregator:
     Wraps a CSR adjacency. ``apply`` sums source rows into each target
     slot, walking each segment in stored index order; ``apply_transpose``
     scatters target rows back to sources (the exact adjoint, used by the
-    backward passes). ``weights`` attaches one coefficient per edge, e.g.
-    1/degree for mean aggregation.
+    backward passes). With ``mean`` each edge weighs 1/degree of its
+    target, so ``apply`` averages (isolated targets get zero rows).
 
     The structure is checked once, here, so no bad index reaches scipy's
     C loops; a product with the wrong number of rows is refused by scipy
@@ -61,16 +61,13 @@ class CsrAggregator:
     ``matrix @ x`` and ``apply_transpose(x)`` is ``matrix_t @ x``.
     """
 
-    def __init__(self, offsets, indices, num_sources: int, weights=None):
+    def __init__(self, offsets, indices, num_sources: int, mean: bool = False):
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
         indices = np.ascontiguousarray(indices, dtype=np.int64)
         _validate_csr(offsets, indices, num_sources)
-        if weights is None:
-            data = np.ones(len(indices), dtype=np.float64)
-        else:
-            data = np.ascontiguousarray(weights, dtype=np.float64)
-            if data.shape != indices.shape:
-                raise ValueError("weights must have one entry per edge")
+        degrees = np.diff(offsets)
+        data = (np.repeat(1.0 / np.maximum(degrees, 1), degrees) if mean
+                else np.ones(len(indices)))
         shape = (len(offsets) - 1, num_sources)
         self.matrix = sp.csr_matrix((data, indices, offsets), shape=shape)
         self.matrix_t = self.matrix.T.tocsr()
@@ -154,27 +151,25 @@ class AdamState:
                    lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(param, grad, state: AdamState, out=None) -> Array:
-    """One Adam update; mutates ``state`` and returns the new parameter.
+def adam_step(param, grad, state: AdamState) -> Array:
+    """One Adam update of ``param`` in place; mutates ``state`` and
+    returns ``param``, which must be a C-contiguous float64 array.
 
-    The new value goes into ``out`` when given (``param`` itself for an
-    update in place), else into a new array. The moments update in
-    place, chunk by chunk through the state's one scratch block, so a
-    step allocates nothing of the parameter's size. Each entry gets the
-    operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
-    param - lr*(m/c1) / (sqrt(v/c2) + eps) in that order, so results do
-    not depend on the chunking.
+    The moments update in place, chunk by chunk through the state's one
+    scratch block, so a step allocates nothing of the parameter's size.
+    Each entry gets the operations of m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*(g*g), param - lr*(m/c1) / (sqrt(v/c2) + eps) in
+    that order, so results do not depend on the chunking. A non-finite
+    gradient is refused before anything moves.
     """
-    param = np.asarray(param, dtype=np.float64)
+    if not (isinstance(param, np.ndarray) and param.dtype == np.float64
+            and param.flags.c_contiguous):
+        raise ValueError("param must be a C-contiguous float64 array")
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != param.shape:
         raise ValueError(f"grad shape {grad.shape} does not match param {param.shape}")
     if state.m.shape != param.shape:
         raise ValueError("optimizer state shape does not match parameter")
-    if out is None:
-        out = np.empty(param.shape)
-    elif out.shape != param.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous float64 array shaped like param")
     # a finite sum proves every entry finite, without a boolean temporary
     if not math.isfinite(grad.sum()):
         check_finite(grad, "grad")
@@ -182,7 +177,7 @@ def adam_step(param, grad, state: AdamState, out=None) -> Array:
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    p, g, o = param.reshape(-1), grad.reshape(-1), out.reshape(-1)
+    p, g = param.reshape(-1), grad.reshape(-1)
     m, v = state.m.reshape(-1), state.v.reshape(-1)
     if state.scratch is None:
         state.scratch = np.empty((2, min(ADAM_CHUNK, p.size)))
@@ -203,8 +198,8 @@ def adam_step(param, grad, state: AdamState, out=None) -> Array:
         np.divide(mc, c1, out=b)
         b *= lr
         b /= a
-        np.subtract(p[lo:hi], b, out=o[lo:hi])
-    return out
+        p[lo:hi] -= b
+    return param
 
 
 def finite_diff_grad(f, param, h: float = 1e-5) -> Array:

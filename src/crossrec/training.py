@@ -38,6 +38,14 @@ TRIPLET_STREAM = 1
 BPR_CHUNK = 1024
 
 
+def _checked_weights(weights) -> list:
+    """The domain weights as a list, each one positive and finite."""
+    weights = list(weights)
+    if not all(0 < w < math.inf for w in weights):
+        raise ValueError("domain weights must be positive and finite")
+    return weights
+
+
 @dataclass
 class TrainConfig:
     """A training run's settings, checked when made; model.check_settings
@@ -83,10 +91,7 @@ class TrainConfig:
         if self.num_eval_negatives < 1:
             raise ValueError("num_eval_negatives must be at least 1")
         if self.domain_weights != "auto":
-            weights = list(self.domain_weights)
-            if not all(0 < w < math.inf for w in weights):
-                raise ValueError("domain weights must be positive and finite")
-            self.domain_weights = weights
+            self.domain_weights = _checked_weights(self.domain_weights)
 
 
 @dataclass
@@ -110,11 +115,9 @@ def resolve_domain_weights(graph: HeteroGraph, spec) -> list:
         if total == 0:
             raise ValueError("graph has no edges")
         return [c / total for c in counts]
-    weights = list(spec)
+    weights = _checked_weights(spec)
     if len(weights) != graph.num_domains:
         raise ValueError(f"expected {graph.num_domains} domain weights, got {len(weights)}")
-    if any(w <= 0 for w in weights):
-        raise ValueError("domain weights must be positive")
     return weights
 
 
@@ -292,8 +295,7 @@ class Trainer:
         batches = self._sample_all()
         total, domain_losses, _ = compute_loss_and_grads(
             self.model, batches, cfg.lambda_reg, self.betas, cfg.reg_per_domain)
-        flat = self.model.param_vector
-        adam_step(flat, self.model.grad_vector, self.adam, out=flat)
+        adam_step(self.model.param_vector, self.model.grad_vector, self.adam)
         self.epoch += 1
         return EpochReport(self.epoch, domain_losses, total,
                            (time.perf_counter() - t0) * 1e3)

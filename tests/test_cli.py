@@ -88,6 +88,52 @@ def test_out_of_range_config_is_rejected_up_front(tmp_path, tiny_tsv, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,line,message", [
+    ("train", "epochs=abc", "epochs: invalid literal for int() with base 10: 'abc'"),
+    ("train", "use_validation=maybe", "use_validation: expected a boolean, got 'maybe'"),
+    ("bench", "seeds=0,x", "seeds: invalid literal for int() with base 10: 'x'"),
+    ("synth", "items_per_domain=200,200",
+     "items_per_domain: invalid literal for int() with base 10: '200,200'"),
+    ("gradcheck", "items_per_domain=",
+     "items_per_domain: invalid literal for int() with base 10: ''"),
+], ids=["train_epochs", "train_use_validation", "bench_seeds", "synth_items", "gradcheck_items"])
+def test_unparsable_config_value_names_its_key(tmp_path, capsys, command, line, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg)]
+    if command != "gradcheck":
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 7.28 PiB for an array with shape (10000000000000000,) "
+                 "and data type float64"),
+     "Unable to allocate 7.28 PiB for an array with shape (10000000000000000,) "
+     "and data type float64"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy_message", "bare"])
+@pytest.mark.parametrize("command,callee", [("synth", "generate_synthetic"), ("train", "fit")])
+def test_out_of_memory_is_one_error_line(tmp_path, tiny_tsv, monkeypatch, capsys,
+                                         command, callee, exc, line):
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, callee, out_of_memory)
+    argv = [command, "--out", str(tmp_path / "out")]
+    if command == "train":
+        argv += ["--data", tiny_tsv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"
+
+
 def test_every_command_takes_its_pinned_key_set():
     # each command's keys, as README's CLI reference lists them
     train = {"epochs", "dim", "layers", "lr", "beta1", "beta2", "eps", "lambda_reg",
@@ -116,12 +162,17 @@ def test_every_command_takes_its_pinned_key_set():
 
 
 @pytest.mark.parametrize("settings,message", [
-    ({"dim": 0}, "dim must be positive"),
-    ({"layers": 0}, "layers must be at least 1"),
+    ({"dim": 0}, "dim must be positive and below 2**32"),
+    ({"layers": 0}, "layers must be at least 1 and below 2**32"),
     ({"mode": "bogus"}, "mode must be one of {modes}, got 'bogus'"),
     ({"mode": "shared_only", "tie_relation_weights": True},
      "tie_relation_weights requires mode='full' (tied matrices live on the specific path)"),
-], ids=["dim_zero", "layers_zero", "mode_bogus", "tie_shared_only"])
+    # the checkpoint header stores dim and layers as uint32
+    ({"dim": 2**32}, "dim must be positive and below 2**32"),
+    ({"dim": 10**30}, "dim must be positive and below 2**32"),
+    ({"layers": 2**32}, "layers must be at least 1 and below 2**32"),
+], ids=["dim_zero", "layers_zero", "mode_bogus", "tie_shared_only", "dim_2_32", "dim_10_30",
+        "layers_2_32"])
 def test_bad_model_settings_get_one_message_everywhere(tmp_path, capsys, settings, message):
     # the conv model names only its own modes; the rest also take mf
     with pytest.raises(ValueError) as info:

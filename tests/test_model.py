@@ -404,7 +404,7 @@ def test_threaded_conv_is_bitwise_the_serial_conv(monkeypatch):
 
     monkeypatch.setattr(conv, "PARALLEL_MIN_ELEMENTS", 0)
     monkeypatch.setattr(conv, "CONV_THREADS", 4)
-    monkeypatch.setattr(conv, "_pool", None)
+    conv._conv_pool.cache_clear()  # the next call starts a pool of CONV_THREADS
     threads = set()
     product = conv.neighbor_product
 
@@ -427,8 +427,8 @@ def test_threaded_conv_is_bitwise_the_serial_conv(monkeypatch):
                     assert np.array_equal(grads[name], g), name
     finally:
         sys.setswitchinterval(interval)
-        if conv._pool is not None:
-            conv._pool.shutdown()
+        conv._conv_pool().shutdown()
+        conv._conv_pool.cache_clear()
     assert sum(name.startswith("crossrec-conv") for name in threads) > 1
 
 

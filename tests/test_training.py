@@ -397,6 +397,10 @@ def test_resolve_domain_weights():
         resolve_domain_weights(graph, [1.0])
     with pytest.raises(ValueError):
         resolve_domain_weights(graph, [1.0, -1.0])
+    # TrainConfig's rule, 0 < w < inf, so NaN fails too
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="domain weights must be positive and finite"):
+            resolve_domain_weights(graph, [bad, 1.0])
 
 
 def test_train_config_validation():
