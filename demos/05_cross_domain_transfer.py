@@ -8,7 +8,10 @@ shared across domains:
   full          specific and shared convolution paths fused per domain
 
 When domains share signal, the shared path pools evidence from every
-domain into each user's representation and wins on held-out ranking.
+domain into each user's representation, and on held-out ranking full
+beats both mf and specific_only. That is all the demo compares: the
+shared path alone (shared_only) is not run here, and on this corpus
+ROADMAP's readings put it ahead of full on all six seeds taken.
 
 Run from the repository root:  python3 demos/05_cross_domain_transfer.py
 (takes a minute or two: it trains three models on 2000 users)

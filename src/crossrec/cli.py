@@ -193,7 +193,7 @@ def cmd_train(args) -> int:
         result = fit(split, config, log_stream=log_fh)
     save_checkpoint(result.model, os.path.join(out, "model.ckpt"))
     if result.reports:
-        print(format_epoch_line(result.reports[-1], result.graph.num_domains))
+        print(format_epoch_line(result.reports[-1]))
     return 0
 
 
@@ -225,9 +225,9 @@ def cmd_gradcheck(args) -> int:
                                    spec.items_per_domain, spec.num_edges))
     model = make_model(graph, config)
     betas = resolve_domain_weights(graph, "auto")
-    batches = {d: sample_triplets(graph, d, spec.triplets,
-                                  np.random.default_rng([config.seed, 99, d]))
-               for d in range(graph.num_domains)}
+    batches = [sample_triplets(graph, d, spec.triplets,
+                               np.random.default_rng([config.seed, 99, d]))
+               for d in range(graph.num_domains)]
     report = gradient_check(model, batches, betas, lambda_reg=config.lambda_reg,
                             corrupt_param=spec.corrupt_param)
     worst = max(report.values())
@@ -259,11 +259,13 @@ def cmd_bench(args) -> int:
     data = _require_file(args.data or extras.get("data"), "--data")
     out = _ensure_out(args.out)
     split = split_leave_latest(parse_log(data))
+    # negatives avoid every train item, as eval's do, also when fit
+    # trains on a validation split of the train side
+    graph = build_graph(split.train)
     rows = []
     for config in configs:
-        result = fit(split, config)
-        tasks = config_eval_tasks(split, result.graph, config)
-        for m in evaluate(result.model, tasks):
+        tasks = config_eval_tasks(split, graph, config)
+        for m in evaluate(fit(split, config).model, tasks):
             rows.append("\t".join(str(c) for c in (
                 config.mode, config.seed, m.domain_id, m.num_users, m.hr_at_10,
                 m.ndcg_at_10)))

@@ -127,28 +127,28 @@ class Scratch:
 
 # entries per pass of adam_step: its two scratch rows stay in cache
 ADAM_CHUNK = 16384
+# Adam's decay rates and denominator floor, the values of Kingma & Ba
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class AdamState:
     """Adam optimizer state for one parameter array (a matrix, or a
-    flat vector holding many)."""
+    flat vector holding many): both moments, the step count and the
+    learning rate. Every state shares ADAM_BETA1, ADAM_BETA2 and ADAM_EPS."""
 
     m: Array
     v: Array
     t: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     scratch: Array = None  # adam_step's two chunk rows, made on first use
 
     @classmethod
-    def for_param(cls, param, lr: float = 1e-3, beta1: float = 0.9,
-                  beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_param(cls, param, lr: float = 1e-3) -> "AdamState":
         shape = np.shape(param)
-        return cls(m=np.zeros(shape), v=np.zeros(shape),
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        return cls(m=np.zeros(shape), v=np.zeros(shape), lr=lr)
 
 
 def adam_step(param, grad, state: AdamState) -> Array:
@@ -174,7 +174,7 @@ def adam_step(param, grad, state: AdamState) -> Array:
     if not math.isfinite(grad.sum()):
         check_finite(grad, "grad")
     state.t += 1
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.lr, ADAM_EPS
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     p, g = param.reshape(-1), grad.reshape(-1)

@@ -1,5 +1,6 @@
-"""BPR training loop: triplet sampling, the ranking loss with L2
-regularization, per-domain weighting, and Adam updates.
+"""BPR training loop: triplet sampling, the objective
+sum_d beta_d * BPR_d + lambda * ||theta||^2 over one triplet batch per
+domain, and Adam updates with fixed decay rates (numeric.ADAM_*).
 
 Every model trained here exposes the same interface (params,
 forward() -> activations with o_u/o_i, backward(acts, do_u, do_i) ->
@@ -55,9 +56,6 @@ class TrainConfig:
     dim: int = 128
     layers: int = 2
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lambda_reg: float = 1e-5
     domain_weights: object = "auto"   # "auto" or list of positive floats
     triplets_per_epoch: int = None    # None -> one expected pass over |E_d|
@@ -65,7 +63,6 @@ class TrainConfig:
     mode: str = "full"                # one of model.ALL_MODES
     tie_relation_weights: bool = False
     mean_aggregation: bool = False
-    reg_per_domain: bool = False      # weight the L2 term by each beta_d
     use_validation: bool = False
     eval_every: int = 10
     num_eval_negatives: int = 99
@@ -79,10 +76,6 @@ class TrainConfig:
             raise ValueError("lr must be nonnegative and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if not 0 < self.eps < math.inf:
-            raise ValueError("eps must be positive and finite")
         if self.triplets_per_epoch is not None and self.triplets_per_epoch < 1:
             raise ValueError("triplets_per_epoch must be at least 1 (or none)")
         if self.eval_every < 1:
@@ -200,61 +193,62 @@ def bpr_domain_step(o_u, o_i, batch: TripletBatch, beta: float):
     return x_pos, x_neg, w @ o_i, w.T @ o_u
 
 
-def compute_loss_and_grads(model, batches: dict, lambda_reg: float,
-                           betas: list, reg_per_domain: bool = False):
-    """Total weighted loss and gradients for one step.
-
-    batches maps domain_id -> TripletBatch. Returns (total_loss,
-    per-domain mean BPR dict, grads dict). The L2 penalty enters the
-    total once; with reg_per_domain it is scaled by sum(beta_d) instead,
-    matching a per-domain reading of the objective. A non-finite total
-    raises RuntimeError before the backward runs, so a caller's
-    optimizer has not moved. The gradients are views of the model's
-    gradient vector, which the next call overwrites.
-    """
+def _loss(model, batches, lambda_reg: float, betas: list):
+    """The loss half of compute_loss_and_grads, with its checks: (total,
+    per-domain mean BPR list, acts, do_u, do_i). Finite differences call
+    it alone, as they need no backward."""
+    if len(batches) != model.graph.num_domains:
+        raise ValueError(f"expected one triplet batch per domain "
+                         f"({model.graph.num_domains}), got {len(batches)}")
     acts = model.forward()
-    domain_losses = {}
-    do_u, do_i = {}, {}  # output gradients of the domains with a batch
+    domain_losses, do_u, do_i = [], [], []
     total = 0.0
-    for d in sorted(batches):
-        batch = batches[d]
-        if len(batch) == 0:
+    for d, (o_u, o_i) in enumerate(zip(acts.o_u, acts.o_i)):
+        if len(batches[d]) == 0:
             raise ValueError(f"empty triplet batch for domain {d}")
-        x_pos, x_neg, do_u[d], do_i[d] = bpr_domain_step(acts.o_u[d], acts.o_i[d],
-                                                         batch, betas[d])
-        mean_bpr = float(np.mean(bpr_loss(x_pos, x_neg)))
-        domain_losses[d] = mean_bpr
-        total += betas[d] * mean_bpr
+        x_pos, x_neg, du, di = bpr_domain_step(o_u, o_i, batches[d], betas[d])
+        domain_losses.append(float(np.mean(bpr_loss(x_pos, x_neg))))
+        do_u.append(du)
+        do_i.append(di)
+        total += betas[d] * domain_losses[d]
     if lambda_reg:
-        reg_scale = lambda_reg * (sum(betas[d] for d in batches) if reg_per_domain else 1.0)
-        total += reg_scale * float(sum(np.sum(p * p) for p in model.params.values()))
+        total += lambda_reg * float(sum(np.sum(p * p) for p in model.params.values()))
     if not np.isfinite(total):
         raise RuntimeError(f"non-finite loss: total={total}, per-domain={domain_losses}; "
                            "check inputs or lower the learning rate")
-    # zeros only for the domains without a batch
-    grads = model.backward(acts, [do_u[d] if d in do_u else np.zeros_like(o)
-                                  for d, o in enumerate(acts.o_u)],
-                           [do_i[d] if d in do_i else np.zeros_like(o)
-                            for d, o in enumerate(acts.o_i)])
+    return total, domain_losses, acts, do_u, do_i
+
+
+def compute_loss_and_grads(model, batches, lambda_reg: float, betas: list):
+    """sum_d beta_d * BPR_d + lambda * ||theta||^2 and its gradients.
+
+    batches holds one TripletBatch per domain, indexed by domain id (a
+    list, or a dict keyed 0..D-1); another count, or an empty batch, is
+    a ValueError. Returns (total_loss, per-domain mean BPR list, grads
+    dict). A non-finite total raises RuntimeError before the backward
+    runs, so a caller's optimizer has not moved. The gradients are
+    views of the model's gradient vector, which the next call overwrites.
+    """
+    total, domain_losses, acts, do_u, do_i = _loss(model, batches, lambda_reg, betas)
+    grads = model.backward(acts, do_u, do_i)
     if lambda_reg:
         grad_vector = model.grad_vector
-        grad_vector += 2.0 * reg_scale * model.param_vector
+        grad_vector += 2.0 * lambda_reg * model.param_vector
     return total, domain_losses, grads
 
 
 @dataclass
 class EpochReport:
     epoch: int
-    domain_losses: dict
+    domain_losses: list
     total_loss: float
     elapsed_ms: float
 
 
-def format_epoch_line(report: EpochReport, num_domains: int) -> str:
+def format_epoch_line(report: EpochReport) -> str:
     """One training-log line: epoch, per-domain mean BPR, total, ms."""
     cells = [str(report.epoch)]
-    cells += [f"{report.domain_losses.get(d, float('nan')):.6f}"
-              for d in range(num_domains)]
+    cells += [f"{loss:.6f}" for loss in report.domain_losses]
     cells.append(f"{report.total_loss:.6f}")
     cells.append(f"{report.elapsed_ms:.1f}")
     return "\t".join(cells)
@@ -272,8 +266,7 @@ class Trainer:
         self.config = config
         self.graph = model.graph
         self.betas = resolve_domain_weights(self.graph, config.domain_weights)
-        self.adam = AdamState.for_param(model.param_vector, lr=config.lr, beta1=config.beta1,
-                                        beta2=config.beta2, eps=config.eps)
+        self.adam = AdamState.for_param(model.param_vector, lr=config.lr)
         self.rngs = [np.random.default_rng([config.seed, TRIPLET_STREAM, d])
                      for d in range(self.graph.num_domains)]
         self.epoch = 0
@@ -282,19 +275,18 @@ class Trainer:
         # epoch's page faults in a fresh process
         model.scratch.take(*model.delta_shapes())
 
-    def _sample_all(self) -> dict:
-        batches = {}
-        for d in range(self.graph.num_domains):
-            n = self.config.triplets_per_epoch or self.graph.num_edges(d)
-            batches[d] = sample_triplets(self.graph, d, n, self.rngs[d])
-        return batches
+    def _sample_all(self) -> list:
+        return [sample_triplets(self.graph, d,
+                                self.config.triplets_per_epoch or self.graph.num_edges(d),
+                                self.rngs[d])
+                for d in range(self.graph.num_domains)]
 
     def train_epoch(self) -> EpochReport:
         t0 = time.perf_counter()
         cfg = self.config
         batches = self._sample_all()
         total, domain_losses, _ = compute_loss_and_grads(
-            self.model, batches, cfg.lambda_reg, self.betas, cfg.reg_per_domain)
+            self.model, batches, cfg.lambda_reg, self.betas)
         adam_step(self.model.param_vector, self.model.grad_vector, self.adam)
         self.epoch += 1
         return EpochReport(self.epoch, domain_losses, total,
@@ -324,8 +316,10 @@ def config_eval_tasks(split: SplitResult, graph: HeteroGraph, config: TrainConfi
 
 @dataclass
 class FitResult:
+    """fit's model, whose graph (model.graph) is the one it trained on,
+    its epoch reports, and the epoch validation kept (None without)."""
+
     model: object
-    graph: HeteroGraph
     reports: list
     best_epoch: int = None
 
@@ -351,7 +345,7 @@ def fit(split: SplitResult, config: TrainConfig, log_stream=None) -> FitResult:
         report = trainer.train_epoch()
         reports.append(report)
         if log_stream is not None:
-            print(format_epoch_line(report, graph.num_domains), file=log_stream)
+            print(format_epoch_line(report), file=log_stream)
         if val_split is not None and report.epoch % config.eval_every == 0:
             metrics = evaluate(model, val_tasks)
             mean_ndcg = float(np.mean([m.ndcg_at_10 for m in metrics]))
@@ -362,10 +356,10 @@ def fit(split: SplitResult, config: TrainConfig, log_stream=None) -> FitResult:
         best_epoch = best[1]
         model.param_vector[...] = best[2]
     model.scratch = Scratch()  # the backward's deltas; an evaluated model needs none
-    return FitResult(model=model, graph=graph, reports=reports, best_epoch=best_epoch)
+    return FitResult(model=model, reports=reports, best_epoch=best_epoch)
 
 
-def gradient_check(model, batches: dict, betas: list, lambda_reg: float = 1e-3,
+def gradient_check(model, batches, betas: list, lambda_reg: float = 1e-3,
                    h: float = 1e-5, corrupt_param: str = None) -> dict:
     """Compare analytic gradients of the full objective against central
     differences. Returns per-parameter max relative error.
@@ -378,14 +372,14 @@ def gradient_check(model, batches: dict, betas: list, lambda_reg: float = 1e-3,
     """
     if corrupt_param is not None and corrupt_param not in model.params:
         raise ValueError(f"corrupt_param={corrupt_param} is not a parameter of the model")
-    # a copy, since every objective call below overwrites the model's gradients
+    # copies, so the negative control writes nothing into the model
     grads = {name: g.copy() for name, g in
              compute_loss_and_grads(model, batches, lambda_reg, betas)[2].items()}
     if corrupt_param is not None:
         grads[corrupt_param] += 1.0
 
     def objective(_p):
-        return compute_loss_and_grads(model, batches, lambda_reg, betas)[0]
+        return _loss(model, batches, lambda_reg, betas)[0]
 
     report = {}
     for name, _ in model.param_shapes():

@@ -85,7 +85,7 @@ def test_threaded_conv_enters_no_traced_function_off_the_main_thread(bench, tmp_
                                         mean_aggregation=True, seed=5))
         # through the module, whose attributes the recorder wraps
         evaluation.evaluate(result.model, evaluation.build_eval_tasks(
-            split, result.graph, seed=5, num_negatives=20))
+            split, result.model.graph, seed=5, num_negatives=20))
     names = {name for name, _ in entered}
     assert {"model.forward", "model.backward", "evaluation.evaluate"} <= names
     main = threading.main_thread().name

@@ -61,15 +61,15 @@ def test_unknown_config_key_fails_command(tmp_path, tiny_tsv, capsys):
 
 @pytest.mark.parametrize("command,bad,key", [
     ("train", "use_validation=true\neval_every=0\n", "eval_every"),
-    ("train", "beta1=1.0\n", "beta1"),
-    ("train", "eps=inf\n", "eps"),
+    ("train", "triplets_per_epoch=0\n", "triplets_per_epoch"),
+    ("train", "num_eval_negatives=0\n", "num_eval_negatives"),
     ("train", "lr=nan\n", "lr"),
     ("train", "lambda_reg=inf\n", "lambda_reg"),
     ("train", "domain_weights=nan,1\n", "domain weights"),
     ("synth", "temperature=nan\n", "temperature"),
-    ("bench", "beta1=1.0\n", "beta1"),
-], ids=["eval_every_zero", "beta1_one", "eps_inf", "lr_nan", "lambda_reg_inf",
-        "domain_weight_nan", "synth_temperature_nan", "bench_beta1_one"])
+    ("bench", "lr=nan\n", "lr"),
+], ids=["eval_every_zero", "triplets_per_epoch_zero", "num_eval_negatives_zero", "lr_nan",
+        "lambda_reg_inf", "domain_weight_nan", "synth_temperature_nan", "bench_lr_nan"])
 def test_out_of_range_config_is_rejected_up_front(tmp_path, tiny_tsv, capsys,
                                                   command, bad, key):
     cfg = tmp_path / "t.cfg"
@@ -85,6 +85,20 @@ def test_out_of_range_config_is_rejected_up_front(tmp_path, tiny_tsv, capsys,
     assert rc == 1
     assert err.startswith("error:") and key in err
     assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+@pytest.mark.parametrize("key", ["beta1", "beta2", "eps", "reg_per_domain"])
+def test_removed_training_key_is_unknown(tmp_path, tiny_tsv, capsys, command, key):
+    # Adam's constants are fixed and the L2 term enters the objective once
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"epochs=2\n{key}=0.5\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--data", tiny_tsv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown config keys: {key}\n"
     assert not out.exists()
 
 
@@ -136,10 +150,9 @@ def test_out_of_memory_is_one_error_line(tmp_path, tiny_tsv, monkeypatch, capsys
 
 def test_every_command_takes_its_pinned_key_set():
     # each command's keys, as README's CLI reference lists them
-    train = {"epochs", "dim", "layers", "lr", "beta1", "beta2", "eps", "lambda_reg",
-             "domain_weights", "triplets_per_epoch", "seed", "mode", "tie_relation_weights",
-             "mean_aggregation", "reg_per_domain", "use_validation", "eval_every",
-             "num_eval_negatives"}
+    train = {"epochs", "dim", "layers", "lr", "lambda_reg", "domain_weights",
+             "triplets_per_epoch", "seed", "mode", "tie_relation_weights", "mean_aggregation",
+             "use_validation", "eval_every", "num_eval_negatives"}
     surfaces = {
         "TRAIN_KEYS": train,
         "EVAL_KEYS": {"num_eval_negatives", "seed"},
@@ -159,6 +172,13 @@ def test_every_command_takes_its_pinned_key_set():
     for name, keys in surfaces.items():
         assert set(getattr(cli, name)) == keys, name
         assert keys <= documented, (name, keys - documented)
+    # the two full lists name their keys and no others, so a deleted key
+    # cannot linger there
+    for label, name in (("Training config keys:", "TRAIN_KEYS"),
+                        ("Synthetic-data keys:", "SYNTH_KEYS")):
+        listed = re.search(re.escape(label) + r"\s*`([^`]*)`", reference)
+        assert listed is not None, label
+        assert listed.group(1).split() == list(getattr(cli, name)), label
 
 
 @pytest.mark.parametrize("settings,message", [
@@ -641,6 +661,38 @@ def test_bench_appends_results(tmp_path, capsys, monkeypatch):
     assert captured.out == "" and captured.err == "error: injected failure\n"
     assert open(os.path.join(out, "results.tsv"), "rb").read() == before
     assert sorted(os.listdir(out)) == ["results.tsv"]
+
+
+def test_bench_never_draws_a_train_item_as_a_negative(tmp_path, capsys, monkeypatch):
+    # with use_validation, fit trains on a split whose held-out items are
+    # still train items of the user; bench's negatives must avoid them too
+    from crossrec.data import split_leave_latest
+    from crossrec.graph import build_graph
+    data_dir = str(tmp_path / "synth")
+    main(["synth", "--config", synth_cfg(tmp_path), "--out", data_dir])
+    data = os.path.join(data_dir, "interactions.tsv")
+    bench_cfg = tmp_path / "bench.cfg"
+    bench_cfg.write_text("modes=mf,full\nseeds=0,1\nepochs=2\ndim=4\nlayers=1\n"
+                         "triplets_per_epoch=20\nnum_eval_negatives=5\n"
+                         "use_validation=true\neval_every=1\n")
+    evaluate = cli.evaluate
+    seen = []
+
+    def noting_evaluate(model, tasks):
+        seen.append(tasks)
+        return evaluate(model, tasks)
+
+    monkeypatch.setattr(cli, "evaluate", noting_evaluate)
+    rc = main(["bench", "--config", str(bench_cfg), "--data", data,
+               "--out", str(tmp_path / "bench")])
+    capsys.readouterr()
+    assert rc == 0 and len(seen) == 4
+    train = build_graph(split_leave_latest(parse_log(data)).train)
+    for tasks in seen:
+        assert len(tasks)
+        for t in tasks:
+            users = np.full(len(t.negatives), t.user_id)
+            assert not train.has_edges(t.domain_id, users, t.negatives).any(), t
 
 
 def test_bench_refuses_a_tied_grid_before_reading_data(tmp_path, capsys):
