@@ -131,12 +131,12 @@ def _build_log(columns) -> InteractionLog:
         item_names[d].append(item)
 
     # one number per (user, item, domain) triple, below the square of the
-    # record count; the stable sort puts each triple's first appearance
-    # at its run's start
+    # record count; sorted, each triple is one run, whose smallest row
+    # is its first appearance whatever order the sort left the run in
     triples = users * len(key_ids) + keys
-    order = np.argsort(triples, kind="stable")
+    order = np.argsort(triples)
     starts = np.flatnonzero(_run_starts(triples[order]))
-    first = order[starts]
+    first = np.minimum.reduceat(order, starts)
     stamps[first] = np.maximum.reduceat(stamps[order], starts)
     keep = np.sort(first)
     keys = keys[keep]
@@ -309,16 +309,35 @@ def split_leave_latest(log: InteractionLog) -> SplitResult:
 
     Groups with a single interaction stay entirely in train. Timestamp
     ties break toward the larger item id so the choice never depends on
-    file order. Id spaces are shared between the two sides.
+    file order; of exact duplicate records the later row is held out.
+    Id spaces are shared between the two sides. Raises ValueError if a
+    user or domain id lies outside the log's names.
+
+    Each group gets one slot, ``user_id * num_domains + domain_id``;
+    per-slot maxima pick the held-out rows without a sort, and reading
+    the slots in order gives test in (user, domain) order.
     """
     recs = log.interactions
-    order = np.lexsort((recs.item_id, recs.timestamp, recs.domain_id, recs.user_id))
-    starts = _run_starts(recs.user_id[order], recs.domain_id[order])
-    # the row after a group's last starts the next group (the final row
-    # wraps round to row 0); a lone row is also its group's first, so
-    # single-record groups are never held out
-    lasts = np.roll(starts, -1)
-    held = order[lasts & ~starts]
+    for name, ids, bound in (("user", recs.user_id, log.num_users),
+                             ("domain", recs.domain_id, log.num_domains)):
+        if len(ids) and (ids.min() < 0 or ids.max() >= bound):
+            raise ValueError(f"{name} id out of range [0, {bound})")
+    slots = log.num_users * log.num_domains
+    group = recs.user_id * log.num_domains + recs.domain_id
+
+    def slot_max(values, rows=...):
+        """Each slot's largest value among ``rows``; _INT64_MIN where none."""
+        out = np.full(slots, _INT64_MIN, dtype=np.int64)
+        np.maximum.at(out, group[rows], values[rows])
+        return out
+
+    # each group's latest records, of those the largest item, and of
+    # exact duplicates the last row; single-record groups are never held out
+    pick = recs.timestamp == slot_max(recs.timestamp)[group]
+    pick &= recs.item_id == slot_max(recs.item_id, pick)[group]
+    pick &= np.bincount(group, minlength=slots)[group] >= 2
+    held = slot_max(np.arange(len(recs)), pick)
+    held = held[held >= 0]
     is_test = np.zeros(len(recs), dtype=bool)
     is_test[held] = True
     return SplitResult(train=replace(log, interactions=recs[~is_test]), test=recs[held])

@@ -1,6 +1,6 @@
 """Keeps tests/checkpoint_hashes.py, the byte-identity proof for
-refactors, runnable, and pins every digest it prints, with the conv run
-serially and on threads."""
+refactors, runnable, and pins every digest it prints, the checkpoints
+with the conv run serially and on threads."""
 
 import os
 import re
@@ -46,6 +46,18 @@ def test_eval_digest_is_pinned():
     done = run("eval")
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"eval\t{EVAL_DIGEST}\n"
+
+
+# the SHA-256 of parse_log and split_leave_latest's records and names
+# for the hash corpus written with repeats and ties; a change meant to
+# move it updates it and says why
+DATA_DIGEST = "9dfb0b41878f1b2d8f8e9580711178509043449de3a35c4519d91e37d3284afa"
+
+
+def test_data_digest_is_pinned():
+    done = run("data")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"data\t{DATA_DIGEST}\n"
 
 
 # each variant's checkpoint SHA-256, unchanged since 058b04e; a change

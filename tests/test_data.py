@@ -194,6 +194,22 @@ def test_split_test_sorted_by_user_then_domain(tmp_path):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("column, value, want", [
+    ("user_id", -1, r"user id out of range \[0, 2\)"),
+    ("user_id", 2, r"user id out of range \[0, 2\)"),
+    ("domain_id", -1, r"domain id out of range \[0, 2\)"),
+    ("domain_id", 2, r"domain id out of range \[0, 2\)"),
+])
+def test_split_rejects_ids_outside_the_log(column, value, want):
+    # a hand-built log whose ids its names do not cover is refused, not
+    # split into a group of its own
+    recs = interaction_records([0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [1, 2, 3, 4])
+    recs[column][1:3] = value
+    log = InteractionLog(recs, ["u", "v"], [["a", "b"], ["c", "d"]], ["x", "y"])
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        split_leave_latest(log)
+
+
 def test_split_preserves_id_spaces(tmp_path):
     log = parse_log(write(tmp_path, BASIC))
     split = split_leave_latest(log)

@@ -6,9 +6,11 @@ ValueError, nothing else, and answer within a per-example deadline.
 Random small logs also drive the columnar data path (parse, split,
 stats, eval tasks) against per-record reference loops, and parse
 renderings of them, canonical and perturbed, against a per-record
-reference parse. Random graphs check the edge bitmap's membership test
-against a set of their edges, and random blocked masks check the eval
-negatives' draw loop against a per-row reference.
+reference parse. Random raw records, exact duplicates among them,
+check the split alone against its reference. Random graphs check the
+edge bitmap's membership test against a set of their edges, and random
+blocked masks check the eval negatives' draw loop against a per-row
+reference.
 
 Examples are derandomized and bounded, so the suite stays
 deterministic and fast.
@@ -28,7 +30,9 @@ from crossrec.cli import TRAIN_KEYS, coerce, parse_config_file
 from crossrec.data import (
     RECORD_FIELDS,
     DomainStats,
+    InteractionLog,
     compute_stats,
+    interaction_records,
     parse_log,
     split_leave_latest,
 )
@@ -197,12 +201,12 @@ def reference_parse(rows):
 
 def reference_split(recs):
     """(train, test): each (user, domain) group of two or more holds out
-    its record with the largest (timestamp, item); test sorted by
-    (user, domain)."""
+    its record with the largest (timestamp, item, position), so the later
+    of two exact duplicates; test sorted by (user, domain)."""
     groups = {}
     for pos, (u, _, d, _) in enumerate(recs):
         groups.setdefault((u, d), []).append(pos)
-    held = {max(group, key=lambda p: (recs[p][3], recs[p][1]))
+    held = {max(group, key=lambda p: (recs[p][3], recs[p][1], p))
             for group in groups.values() if len(group) >= 2}
     train = [rec for pos, rec in enumerate(recs) if pos not in held]
     return train, sorted((recs[p] for p in held), key=lambda r: (r[0], r[2]))
@@ -249,6 +253,36 @@ def test_data_path_matches_per_record_loops(rows, seed, num_negatives, tmp_path)
                              num_negatives=num_negatives)
     got = [(t.user_id, t.domain_id, t.pos_item_id, t.negatives.tolist()) for t in tasks]
     assert got == reference_tasks(train, test, item_names, seed, num_negatives)
+
+
+# ids as small ranges, so exact duplicate records, timestamp ties and
+# single-record groups are common; the log's names may leave some users
+# and domains without records
+ID_RECORD = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1),
+                      st.sampled_from((0, 1, -(1 << 63), (1 << 63) - 1)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(rows=st.lists(ID_RECORD, max_size=16), spare_users=st.integers(0, 1),
+       spare_domains=st.integers(0, 1))
+# the empty log
+@example(rows=[], spare_users=0, spare_domains=0)
+# exact duplicates around another record: the later one is held out
+@example(rows=[(0, 1, 0, 5), (0, 0, 0, 5), (0, 1, 0, 5)], spare_users=0, spare_domains=0)
+# a tie on the largest timestamp, above one at the smallest, and a lone record
+@example(rows=[(1, 2, 1, (1 << 63) - 1), (1, 0, 1, -(1 << 63)), (1, 1, 1, (1 << 63) - 1),
+               (0, 0, 1, 0)], spare_users=0, spare_domains=0)
+def test_split_of_raw_records_matches_reference(rows, spare_users, spare_domains):
+    num_users = max((r[0] for r in rows), default=-1) + 1 + spare_users
+    num_domains = max((r[2] for r in rows), default=-1) + 1 + spare_domains
+    recs = interaction_records(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+    log = InteractionLog(recs, [f"u{u}" for u in range(num_users)],
+                         [["a", "b", "c"]] * num_domains, [f"d{d}" for d in range(num_domains)])
+    split = split_leave_latest(log)
+    train, test = reference_split(rows)
+    assert as_tuples(split.train.interactions) == train
+    assert as_tuples(split.test) == test
+    assert split.test.dtype == split.train.interactions.dtype == crossrec.data.RECORD_DTYPE
 
 
 @DATA_PATH
