@@ -28,7 +28,7 @@ log, _ = generate_synthetic(spec)
 split = split_leave_latest(log)
 
 config = TrainConfig(epochs=60, dim=16, layers=2, lr=0.01, lambda_reg=1e-5,
-                     seed=0, mode="full", mean_aggregation=True)
+                     seed=0, mode="full")
 print("epoch log (epoch, per-domain loss, weighted total, wall ms):")
 result = fit(split, config, log_stream=sys.stdout)
 

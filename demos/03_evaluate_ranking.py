@@ -30,7 +30,7 @@ print("untrained embeddings rank the positive uniformly, HR@10 near 0.10:")
 print(format_metric_table(evaluate(MfModel(graph, dim=16, seed=5), tasks)))
 
 config = TrainConfig(epochs=60, dim=16, layers=2, lr=0.01, lambda_reg=1e-5,
-                     seed=0, mode="full", mean_aggregation=True)
+                     seed=0, mode="full")
 result = fit(split, config)
 print("\nafter training the full model:")
 print(format_metric_table(evaluate(result.model, tasks)))

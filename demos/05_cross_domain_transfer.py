@@ -9,9 +9,10 @@ shared across domains:
 
 When domains share signal, the shared path pools evidence from every
 domain into each user's representation, and on held-out ranking full
-beats both mf and specific_only. That is all the demo compares: the
-shared path alone (shared_only) is not run here, and on this corpus
-ROADMAP's readings put it ahead of full on all six seeds taken.
+beats both mf and specific_only. That is all the demo compares, on one
+seed and at one lambda_reg: it does not run the shared path alone
+(shared_only), so it cannot say whether full's specific paths add
+anything to the shared one.
 
 Run from the repository root:  python3 demos/05_cross_domain_transfer.py
 (takes a minute or two: it trains three models on 2000 users)
@@ -38,8 +39,7 @@ print(f"corpus: {spec.num_users} users, {spec.num_domains} domains, "
 print(f"{'mode':14s} {'NDCG@10':>8s} {'HR@10':>8s}")
 for mode in ("mf", "specific_only", "full"):
     config = TrainConfig(epochs=150, dim=16, layers=2, lr=0.01,
-                         lambda_reg=1e-5, seed=0, mode=mode,
-                         mean_aggregation=True)
+                         lambda_reg=1e-5, seed=0, mode=mode)
     result = fit(split, config)
     reports = evaluate(result.model, tasks)
     ndcg = float(np.mean([r.ndcg_at_10 for r in reports]))

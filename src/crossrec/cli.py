@@ -119,7 +119,7 @@ EVAL_KEYS = {k: TRAIN_KEYS[k] for k in ("num_eval_negatives", "seed")}
 GRADCHECK_DEFAULTS = {"dim": 4, "lambda_reg": 1e-3}
 GRADCHECK_KEYS = config_keys(GradcheckSpec, items_per_domain=_ints, corrupt_param=str) | {
     k: TRAIN_KEYS[k] for k in ("dim", "layers", "mode", "tie_relation_weights",
-                               "mean_aggregation", "lambda_reg", "seed")}
+                               "lambda_reg", "seed")}
 BENCH_KEYS = {k: v for k, v in TRAIN_KEYS.items() if k not in ("mode", "seed")} | {
     "modes": lambda s: s.split(","),
     "seeds": _ints,

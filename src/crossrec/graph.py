@@ -19,7 +19,7 @@ import numpy as np
 from .data import InteractionLog
 from .numeric import CsrAggregator
 
-# a domain's neighbor-sum operators: item rows -> users, user rows -> items
+# a domain's neighbor-mean operators: item rows -> users, user rows -> items
 Aggregators = namedtuple("Aggregators", "to_users to_items")
 
 
@@ -89,19 +89,17 @@ class HeteroGraph:
             self._bits[domain_id] = bits
         return self._bits[domain_id]
 
-    def aggregators(self, domain_id: int, mean: bool = False) -> Aggregators:
-        """Cached (to_users, to_items) neighbor-sum operators of a domain;
-        with ``mean`` each edge weighs 1/degree of its target."""
-        key = (domain_id, mean)
-        if key not in self._aggregators:
+    def aggregators(self, domain_id: int) -> Aggregators:
+        """Cached (to_users, to_items) neighbor-mean operators of a
+        domain: each edge weighs 1/degree of its target."""
+        if domain_id not in self._aggregators:
             offsets, items = self._csrs[domain_id]
-            to_users = CsrAggregator(offsets, items, self.num_items_per_domain[domain_id], mean)
+            to_users = CsrAggregator(offsets, items, self.num_items_per_domain[domain_id])
             # its transpose is the item-major CSR, users sorted within each row
             item_major = to_users.matrix_t
-            self._aggregators[key] = Aggregators(
-                to_users, CsrAggregator(item_major.indptr, item_major.indices,
-                                        self.num_users, mean))
-        return self._aggregators[key]
+            self._aggregators[domain_id] = Aggregators(
+                to_users, CsrAggregator(item_major.indptr, item_major.indices, self.num_users))
+        return self._aggregators[domain_id]
 
 
 def build_graph(train: InteractionLog) -> HeteroGraph:

@@ -3,9 +3,9 @@
 Every node carries its representations along conv paths. A path is a
 kind plus a domain set: the domain-specific path of domain d ("spec",
 {d}) sees only same-domain neighbors, and the domain-shared path
-("shared", all domains) sums neighbors across every domain. One
-relational conv serves both kinds: a self transform plus a neighbor sum
-over the path's domains, each relation through its own matrix. After L
+("shared", all domains) sees neighbors in every domain. One relational
+conv serves both kinds: a self transform plus the neighbor mean in each
+of the path's domains, each relation through its own matrix. After L
 layers, the paths containing a domain fuse into its output embeddings;
 user/item affinity is a dot product.
 
@@ -203,8 +203,8 @@ class PathCache:
 
     users[l] and items[l][d] are the layer-l representations (index 0
     is the embedding). The backward needs nothing else: it takes a
-    neighbor sum's weight gradient from the layer's input, as
-    x.T @ (A.T @ dz), so the sums themselves are never kept. Each ReLU
+    neighbor mean's weight gradient from the layer's input, as
+    x.T @ (A.T @ dz), so the means themselves are never kept. Each ReLU
     runs in place on its pre-activation, since its output, positive
     exactly where the pre-activation is, serves as the backward's gate:
     the backward multiplies layer l+1's deltas by it in place. The
@@ -233,8 +233,8 @@ def check_settings(mode: str, dim: int, layers: int, tie_relation_weights: bool,
     """The rules on model settings: TrainConfig applies them over
     ALL_MODES, the conv model (so every conv checkpoint load) over
     MODES. Tied weights alias specific-path matrices: "full" only. mf
-    reads only dim and seed; it leaves layers and mean_aggregation
-    unread, not refused, so one config can serve every mode."""
+    reads only dim and seed; it leaves layers unread, not refused, so
+    one config can serve every mode."""
     if mode not in modes:
         raise ValueError(f"mode must be one of {modes}, got {mode!r}")
     # a checkpoint header stores both as uint32
@@ -259,14 +259,13 @@ class DisentangledGraphModel(FlatModel):
 
     def __init__(self, graph: HeteroGraph, dim: int = 128, layers: int = 2,
                  mode: str = "full", tie_relation_weights: bool = False,
-                 mean_aggregation: bool = False, seed: int = 0, params: dict = None):
+                 seed: int = 0, params: dict = None):
         check_settings(mode, dim, layers, tie_relation_weights, modes=MODES)
         self.graph = graph
         self.dim = dim
         self.layers = layers
         self.mode = mode
         self.tie_relation_weights = tie_relation_weights
-        self.mean_aggregation = mean_aggregation
         all_domains = tuple(range(graph.num_domains))
         self.paths = []  # (kind, domains), specific paths first
         for kind in PATH_KINDS[mode]:
@@ -331,31 +330,31 @@ class DisentangledGraphModel(FlatModel):
                     and self.graph.num_users * self.dim >= PARALLEL_MIN_ELEMENTS)
         return run_tasks(tasks, [len(domains) for _, domains in self.paths], parallel)
 
-    def _conv_forward(self, path: PathCache, l: int, sums: dict, aggs: list) -> None:
+    def _conv_forward(self, path: PathCache, l: int, means: dict, aggs: list) -> None:
         """Layer l of one path: each node's self transform plus its
-        neighbor sums over the path's domains, in ascending domain order,
-        each relation through its own matrix. An item only has neighbors
-        in its own domain, so its sum has one term. A neighbor sum held
-        in ``sums`` under (domain, side) is read from there; any other
-        is a product with the domain's operator in ``aggs``. The outputs
-        go into path.users[l + 1] and path.items[l + 1][d], which the
-        caller allocated; this allocates only temporaries."""
+        neighbor means over the path's domains, in ascending domain
+        order, each relation through its own matrix. An item only has
+        neighbors in its own domain, so it adds one mean. A neighbor
+        mean held in ``means`` under (domain, side) is read from there;
+        any other is a product with the domain's operator in ``aggs``.
+        The outputs go into path.users[l + 1] and path.items[l + 1][d],
+        which the caller allocated; this allocates only temporaries."""
         P = self.params
         w = {d: self.weight_names(path.kind, l, d) for d in path.domains}
         x_u, x_i = path.users[l], path.items[l]
         z_u, z_i = path.users[l + 1], path.items[l + 1]
 
-        def neighbor_sum(d, side, x):
-            if (d, side) in sums:
-                return sums[d, side]
+        def neighbor_mean(d, side, x):
+            if (d, side) in means:
+                return means[d, side]
             return neighbor_product(getattr(aggs[d], side).matrix, x)
 
         np.matmul(x_u, P[w[path.domains[0]].uu], out=z_u)
         for d in path.domains:
-            z_u += neighbor_sum(d, "to_users", x_i[d]) @ P[w[d].iu]
+            z_u += neighbor_mean(d, "to_users", x_i[d]) @ P[w[d].iu]
         for d in path.domains:
             np.matmul(x_i[d], P[w[d].ii], out=z_i[d])
-            z_i[d] += neighbor_sum(d, "to_items", x_u) @ P[w[d].ui]
+            z_i[d] += neighbor_mean(d, "to_items", x_u) @ P[w[d].ui]
         np.maximum(z_u, 0.0, out=z_u)
         for z in z_i.values():
             np.maximum(z, 0.0, out=z)
@@ -415,28 +414,28 @@ class DisentangledGraphModel(FlatModel):
         before the first layer, so no task builds one."""
         P, L, D = self.params, self.layers, self.graph.num_domains
         g, k = self.graph, self.dim
-        aggs = [g.aggregators(d, self.mean_aggregation) for d in range(D)]
+        aggs = [g.aggregators(d) for d in range(D)]
         acts = Activations()
         for kind, domains in self.paths:
             acts.paths.append(PathCache(kind, domains, users=[P["user_emb"]],
                                         items=[{d: P[f"item_emb/d{d}"] for d in domains}]))
         # every path reads the embedding tables at layer 0, so the paths
-        # that hold a domain share its layer-0 neighbor sums: each is
+        # that hold a domain share its layer-0 neighbor means: each is
         # taken once, before the first path, and dropped after the layer
         shared = [d for d in range(D) if sum(d in domains for _, domains in self.paths) > 1]
         for l in range(L):
-            sums = {}
+            means = {}
             if l == 0:
                 for d in shared:
-                    sums[d, "to_users"] = neighbor_product(aggs[d].to_users.matrix,
-                                                           P[f"item_emb/d{d}"])
-                    sums[d, "to_items"] = neighbor_product(aggs[d].to_items.matrix,
-                                                           P["user_emb"])
+                    means[d, "to_users"] = neighbor_product(aggs[d].to_users.matrix,
+                                                            P[f"item_emb/d{d}"])
+                    means[d, "to_items"] = neighbor_product(aggs[d].to_items.matrix,
+                                                            P["user_emb"])
             for path in acts.paths:
                 path.users.append(np.empty((g.num_users, k)))
                 path.items.append({d: np.empty((g.num_items_per_domain[d], k))
                                    for d in path.domains})
-            self._run_paths([partial(self._conv_forward, path, l, sums, aggs)
+            self._run_paths([partial(self._conv_forward, path, l, means, aggs)
                              for path in acts.paths])
 
         for d in range(D):
@@ -479,7 +478,7 @@ class DisentangledGraphModel(FlatModel):
         self._check_upstream(acts, do_u, do_i)
 
         grads = self._zeroed_grads()
-        aggs = [self.graph.aggregators(d, self.mean_aggregation) for d in range(D)]
+        aggs = [self.graph.aggregators(d) for d in range(D)]
         taken = iter(self.scratch.take(*self.delta_shapes()))
         deltas = []
         for p in acts.paths:
@@ -525,7 +524,6 @@ class MfModel(FlatModel):
     # the checkpoint header's fields, as a conv model holds them
     mode = "mf"
     layers = 0
-    tie_relation_weights = mean_aggregation = False
 
     def __init__(self, graph: HeteroGraph, dim: int = 128, seed: int = 0,
                  params: dict = None):
@@ -578,10 +576,10 @@ class MfModel(FlatModel):
 
 
 def save_checkpoint(model, path: str) -> None:
-    """Write magic, config block, then every matrix in canonical order
-    as little-endian float64."""
+    """Write magic, config block (flags 0 for mf, 2 | tied for a conv
+    model), then every matrix in canonical order as little-endian float64."""
     g = model.graph
-    flags = (1 if model.tie_relation_weights else 0) | (2 if model.mean_aggregation else 0)
+    flags = 0 if model.mode == "mf" else 2 | int(model.tie_relation_weights)
     shapes = model.param_shapes()
     with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -603,56 +601,60 @@ def load_checkpoint(path: str, graph: HeteroGraph):
 
     Validates magic, node counts against the graph, the flag bits, the
     layer count against the stored matrices, the canonical parameter
-    order, shapes, and finiteness.
+    order, shapes, and finiteness. Every error names the file.
     """
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())  # slices of it copy nothing
-    pos = 0
+    try:
+        pos = 0
 
-    def take(n):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise ValueError(f"{path}: truncated checkpoint")
-        out = blob[pos:pos + n]
-        pos += n
-        return out
+        def take(n):
+            nonlocal pos
+            if pos + n > len(blob):
+                raise ValueError("truncated checkpoint")
+            out = blob[pos:pos + n]
+            pos += n
+            return out
 
-    if take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint (bad magic)")
-    kind, num_domains = struct.unpack("<II", take(8))
-    num_users = struct.unpack("<I", take(4))[0]
-    items = list(struct.unpack(f"<{num_domains}I", take(4 * num_domains)))
-    dim, layers, flags, n_params = struct.unpack("<IIII", take(16))
+        if take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise ValueError("not a model checkpoint (bad magic)")
+        kind, num_domains = struct.unpack("<II", take(8))
+        num_users = struct.unpack("<I", take(4))[0]
+        items = list(struct.unpack(f"<{num_domains}I", take(4 * num_domains)))
+        dim, layers, flags, n_params = struct.unpack("<IIII", take(16))
 
-    if num_domains != graph.num_domains or num_users != graph.num_users \
-            or items != graph.num_items_per_domain:
-        raise ValueError(f"{path}: checkpoint node counts do not match the graph")
+        if num_domains != graph.num_domains or num_users != graph.num_users \
+                or items != graph.num_items_per_domain:
+            raise ValueError("checkpoint node counts do not match the graph")
 
-    params = {}
-    for _ in range(n_params):
-        name_len = struct.unpack("<H", take(2))[0]
-        name = bytes(take(name_len)).decode("utf-8")
-        rows, cols = struct.unpack("<II", take(8))
-        data = np.frombuffer(take(8 * rows * cols), dtype="<f8")
-        params[name] = check_finite(data.reshape(rows, cols), name)
-    if pos != len(blob):
-        raise ValueError(f"{path}: trailing bytes after checkpoint")
+        params = {}
+        for _ in range(n_params):
+            name_len = struct.unpack("<H", take(2))[0]
+            name = bytes(take(name_len)).decode("utf-8")
+            rows, cols = struct.unpack("<II", take(8))
+            data = np.frombuffer(take(8 * rows * cols), dtype="<f8")
+            params[name] = check_finite(data.reshape(rows, cols), name)
+        if pos != len(blob):
+            raise ValueError("trailing bytes after checkpoint")
 
-    if flags & ~3:
-        raise ValueError(f"{path}: unknown checkpoint flags {flags:#x}")
-    if kind >= len(ALL_MODES):
-        raise ValueError(f"{path}: unknown checkpoint kind {kind}")
-    mode = ALL_MODES[kind]
-    if mode == "mf":
-        if layers or flags:
-            raise ValueError(f"{path}: mf checkpoint with layers {layers} and flags "
-                             f"{flags:#x}; both must be 0")
-        return MfModel(graph, dim=dim, params=params)
-    # every conv layer owns at least one stored matrix, and the file holds
-    # n_params of them, so this bounds the work of building the model
-    if not 1 <= layers <= n_params:
-        raise ValueError(f"{path}: checkpoint layers {layers} outside [1, {n_params}]")
-    return DisentangledGraphModel(
-        graph, dim=dim, layers=layers, mode=mode,
-        tie_relation_weights=bool(flags & 1), mean_aggregation=bool(flags & 2),
-        params=params)
+        if flags & ~3:
+            raise ValueError(f"unknown checkpoint flags {flags:#x}")
+        if kind >= len(ALL_MODES):
+            raise ValueError(f"unknown checkpoint kind {kind}")
+        mode = ALL_MODES[kind]
+        if mode == "mf":
+            if layers or flags:
+                raise ValueError(f"mf checkpoint with layers {layers} and flags {flags:#x}; "
+                                 f"both must be 0")
+            return MfModel(graph, dim=dim, params=params)
+        if not flags & 2:
+            raise ValueError("checkpoint without flag bit 2 sums neighbors, which is no longer "
+                             "supported; retrain it")
+        # every conv layer owns at least one stored matrix, and the file holds
+        # n_params of them, so this bounds the work of building the model
+        if not 1 <= layers <= n_params:
+            raise ValueError(f"checkpoint layers {layers} outside [1, {n_params}]")
+        return DisentangledGraphModel(graph, dim=dim, layers=layers, mode=mode,
+                                      tie_relation_weights=bool(flags & 1), params=params)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -45,13 +45,12 @@ def _validate_csr(offsets: Array, indices: Array, num_sources: int) -> None:
 
 
 class CsrAggregator:
-    """Neighbor-sum operator for one (target <- source) relation.
+    """Neighbor-mean operator for one (target <- source) relation.
 
-    Wraps a CSR adjacency. ``apply`` sums source rows into each target
-    slot, walking each segment in stored index order; ``apply_transpose``
-    scatters target rows back to sources (the exact adjoint, used by the
-    backward passes). With ``mean`` each edge weighs 1/degree of its
-    target, so ``apply`` averages (isolated targets get zero rows).
+    Wraps a CSR adjacency whose edges each weigh 1/degree of their
+    target, so ``apply`` averages source rows into each target slot
+    (zero rows for isolated ones), walking each segment in stored index
+    order; ``apply_transpose`` is its exact adjoint, for the backward.
 
     The structure is checked once, here, so no bad index reaches scipy's
     C loops; a product with the wrong number of rows is refused by scipy
@@ -61,13 +60,12 @@ class CsrAggregator:
     ``matrix @ x`` and ``apply_transpose(x)`` is ``matrix_t @ x``.
     """
 
-    def __init__(self, offsets, indices, num_sources: int, mean: bool = False):
+    def __init__(self, offsets, indices, num_sources: int):
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
         indices = np.ascontiguousarray(indices, dtype=np.int64)
         _validate_csr(offsets, indices, num_sources)
         degrees = np.diff(offsets)
-        data = (np.repeat(1.0 / np.maximum(degrees, 1), degrees) if mean
-                else np.ones(len(indices)))
+        data = np.repeat(1.0 / np.maximum(degrees, 1), degrees)
         shape = (len(offsets) - 1, num_sources)
         self.matrix = sp.csr_matrix((data, indices, offsets), shape=shape)
         self.matrix_t = self.matrix.T.tocsr()

@@ -62,13 +62,15 @@ class TrainConfig:
     seed: int = 0
     mode: str = "full"                # one of model.ALL_MODES
     tie_relation_weights: bool = False
-    mean_aggregation: bool = False
+    mean_aggregation: bool = True     # neighbors are always averaged; false is refused
     use_validation: bool = False
     eval_every: int = 10
     num_eval_negatives: int = 99
 
     def __post_init__(self):
         check_settings(self.mode, self.dim, self.layers, self.tie_relation_weights)
+        if not self.mean_aggregation:
+            raise ValueError("mean_aggregation must be true: neighbors are always averaged")
         # written so that NaN fails the test too
         if not 0 <= self.lambda_reg < math.inf:
             raise ValueError("lambda_reg must be nonnegative and finite")
@@ -298,8 +300,7 @@ def make_model(graph: HeteroGraph, config: TrainConfig):
         return MfModel(graph, dim=config.dim, seed=config.seed)
     return DisentangledGraphModel(
         graph, dim=config.dim, layers=config.layers, mode=config.mode,
-        tie_relation_weights=config.tie_relation_weights,
-        mean_aggregation=config.mean_aggregation, seed=config.seed)
+        tie_relation_weights=config.tie_relation_weights, seed=config.seed)
 
 
 def config_eval_tasks(split: SplitResult, graph: HeteroGraph, config: TrainConfig,

@@ -36,7 +36,7 @@ def random_graph(rng, num_users, items_per_domain, num_edges):
     return build_graph(log), log
 
 
-def oracle_forward(graph, params, layers, mode="full", tie=False, mean=False):
+def oracle_forward(graph, params, layers, mode="full", tie=False):
     """Per-node recomputation of the conv update rules. Returns
     (o_u, o_i) lists of dense arrays."""
     D = graph.num_domains
@@ -76,14 +76,14 @@ def oracle_forward(graph, params, layers, mode="full", tie=False, mean=False):
             for d in range(D):
                 for u in range(U):
                     nbrs = user_items(d, u)
-                    w = 1.0 / len(nbrs) if (mean and len(nbrs)) else 1.0
+                    w = 1.0 / len(nbrs) if len(nbrs) else 1.0
                     pre = hu[(d, u)] @ params[f"spec_uu/l{l}/d{d}"]
                     for i in nbrs:
                         pre = pre + w * (hi[(d, int(i))] @ params[f"spec_iu/l{l}/d{d}"])
                     new_hu[(d, u)] = rl(pre)
                 for i in range(counts[d]):
                     nbrs = item_users(d, i)
-                    w = 1.0 / len(nbrs) if (mean and len(nbrs)) else 1.0
+                    w = 1.0 / len(nbrs) if len(nbrs) else 1.0
                     pre = hi[(d, i)] @ params[f"spec_ii/l{l}/d{d}"]
                     for u in nbrs:
                         pre = pre + w * (hu[(d, int(u))] @ params[f"spec_ui/l{l}/d{d}"])
@@ -95,14 +95,14 @@ def oracle_forward(graph, params, layers, mode="full", tie=False, mean=False):
                 pre = gu[u] @ params[f"shared_uu/l{l}"]
                 for d in range(D):
                     nbrs = user_items(d, u)
-                    w = 1.0 / len(nbrs) if (mean and len(nbrs)) else 1.0
+                    w = 1.0 / len(nbrs) if len(nbrs) else 1.0
                     for i in nbrs:
                         pre = pre + w * (gi[(d, int(i))] @ sh_iu(l, d))
                 new_gu[u] = rl(pre)
             for d in range(D):
                 for i in range(counts[d]):
                     nbrs = item_users(d, i)
-                    w = 1.0 / len(nbrs) if (mean and len(nbrs)) else 1.0
+                    w = 1.0 / len(nbrs) if len(nbrs) else 1.0
                     pre = gi[(d, i)] @ params[f"shared_ii/l{l}"]
                     for u in nbrs:
                         pre = pre + w * (gu[int(u)] @ sh_ui(l, d))

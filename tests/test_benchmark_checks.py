@@ -81,8 +81,7 @@ def test_threaded_conv_enters_no_traced_function_off_the_main_thread(bench, tmp_
     split = split_leave_latest(parse_log(str(tmp_path / "interactions.tsv")))
     rec = ThreadRecorder()
     with spans.instrument(rec, spans.Counters()):
-        result = fit(split, TrainConfig(epochs=2, dim=8, layers=2, mode="full",
-                                        mean_aggregation=True, seed=5))
+        result = fit(split, TrainConfig(epochs=2, dim=8, layers=2, mode="full", seed=5))
         # through the module, whose attributes the recorder wraps
         evaluation.evaluate(result.model, evaluation.build_eval_tasks(
             split, result.model.graph, seed=5, num_negatives=20))

@@ -32,9 +32,10 @@ def test_checkpoint_hashes_prints_one_digest_per_variant():
 
 
 def test_checkpoint_hashes_rejects_unknown_variants():
-    done = run("mf", "full-t2-m0-l1")
+    # m0 named sum aggregation, which no graph model has
+    done = run("mf", "full-t0-m0-l1")
     assert done.returncode == 1 and done.stdout == ""
-    assert done.stderr.startswith("error: unknown variants ['full-t2-m0-l1']")
+    assert done.stderr.startswith("error: unknown variants ['full-t0-m0-l1']")
 
 
 # the SHA-256 of build_eval_tasks' records and full-t0-m1-l2's
@@ -63,27 +64,15 @@ def test_data_digest_is_pinned():
 # each variant's checkpoint SHA-256, unchanged since 058b04e; a change
 # meant to move one updates it and says why
 CHECKPOINT_DIGESTS = {
-    "full-t0-m0-l1": "3414ca9fb3f4da8f7f8191aa7656662973f896424810283bedbc32fd5bb11acd",
-    "full-t0-m0-l2": "6cb2c74479c30cc3481b5df3bdfc66e38831453a7680c598b4d17fe47a8b442b",
-    "full-t0-m0-l3": "dc82a5c3b1fead63bc95468297ad731aad69ed01c60a732d22e6e8bce2c5102b",
     "full-t0-m1-l1": "de011be57b35d0c158b3c8f9b9d14d4fabda73ad2f756255b7ed04de179f6b09",
     "full-t0-m1-l2": "e71f6d6db74e01e5dd87c566a20f7c701d85f9be318ae8f8d4fc5f661014e8ac",
     "full-t0-m1-l3": "cbf547c8e576c39965ed839b1c37afdaad194135e01cd6c23c9f38387de2b7fd",
-    "full-t1-m0-l1": "624a81df698893adb5bc72b8d9f0c27de845ee479697970e9a5333c33f3dd2f2",
-    "full-t1-m0-l2": "39838fbf6e2491ea234ea2458617b939a91923960ae483d2afee46f6ca129348",
-    "full-t1-m0-l3": "43c00d3c1eb02c63c52339811b69515d6194fb800d0ed54d8daf42f63c1732c8",
     "full-t1-m1-l1": "e0eb93dea656d1f3e08c6f6944da527bad7f30fc045aeaac9dd9682a72f00536",
     "full-t1-m1-l2": "e1ad9e88e4d54d6bfee80b0922ad21cf875734ffb3a1fc06d8a863e13ef7afd6",
     "full-t1-m1-l3": "0ddf55c27a2f88de7f571a9f0fe648874169c9889a161919aef38ddce69df551",
-    "specific_only-t0-m0-l1": "c343ee4a544deed5775784be45cd351e48c3c641c1266b18ecc3a5af0c116c20",
-    "specific_only-t0-m0-l2": "14f7de6d81f5ad4d07613f1f153a1cedc5604b5ca6bc7a9bab5586eceacb9a54",
-    "specific_only-t0-m0-l3": "84b595b8725a9c2894f411c5c7c4671bfce2ef701315c963c23bf42aae078bc6",
     "specific_only-t0-m1-l1": "14260235902fed26a2a6c6609191bc5a1eaa84b5c877d8568cabe5b6943c5a75",
     "specific_only-t0-m1-l2": "3a12e29ab1ce9b7474ae891b3f274ed4d5ba95fff89e6ce5e135473a625e3c6c",
     "specific_only-t0-m1-l3": "13462c4cdd57d4e7521b41e53ad1e79b2783ed7191162bd73e207fde9d7ced02",
-    "shared_only-t0-m0-l1": "a06f0257dcaeb6fe534ee86cc3453f214044e0e4db0664d3f0de693eb8c93b6c",
-    "shared_only-t0-m0-l2": "f85c5ca86556f194661f92a3afa556026f7ecaae6469966ca286be96bb5891c9",
-    "shared_only-t0-m0-l3": "51ec5c08689c574b2ee4e9454f988d802535d5db3fa03b66bd16a1d0e69e972f",
     "shared_only-t0-m1-l1": "c753d3b1309a9b6c457e8f6ae3233cdda535155143ca59b412cb28ec5e1d59b3",
     "shared_only-t0-m1-l2": "6a6e82f1539dc37273a93a734eb6097f09c3a9db293606f74a2d418f9fd8841c",
     "shared_only-t0-m1-l3": "502487481211a8fae80d635a6ff1d06d89a2398dd71ca84b4455eea9b8251b7a",

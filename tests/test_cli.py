@@ -3,6 +3,8 @@ config parsing, determinism of artifacts, exit codes."""
 
 import os
 import re
+import struct
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -162,23 +164,45 @@ def test_every_command_takes_its_pinned_key_set():
                        "matched_item_latents"},
         "GRADCHECK_KEYS": {"num_users", "items_per_domain", "num_edges", "triplets",
                            "corrupt_param", "dim", "layers", "mode", "tie_relation_weights",
-                           "mean_aggregation", "lambda_reg", "seed"},
+                           "lambda_reg", "seed"},
     }
-    readme_path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme_path, encoding="utf-8") as fh:
-        reference = fh.read().split("## CLI reference")[1].split("\n## ")[0]
+    reference = readme_cli_reference()
     documented = {word.split("=")[0] for span in re.findall(r"`([^`]*)`", reference)
                   for word in span.split()}
     for name, keys in surfaces.items():
         assert set(getattr(cli, name)) == keys, name
         assert keys <= documented, (name, keys - documented)
-    # the two full lists name their keys and no others, so a deleted key
-    # cannot linger there
+
+
+def readme_cli_reference() -> str:
+    """README's "CLI reference" section."""
+    readme_path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme_path, encoding="utf-8") as fh:
+        return fh.read().split("## CLI reference")[1].split("\n## ")[0]
+
+
+def test_readme_key_lists_match_the_schemas():
+    # the full lists name their keys and no others, so a deleted key
+    # cannot linger there, and every gradcheck default stated is the
+    # one the command uses
+    reference = readme_cli_reference()
     for label, name in (("Training config keys:", "TRAIN_KEYS"),
                         ("Synthetic-data keys:", "SYNTH_KEYS")):
         listed = re.search(re.escape(label) + r"\s*`([^`]*)`", reference)
         assert listed is not None, label
         assert listed.group(1).split() == list(getattr(cli, name)), label
+    paragraph = reference.split("`gradcheck` keys, with their defaults:")[1].split("\n\n")[0]
+    stated = dict(word.split("=") for span in re.findall(r"`([^`]*)`", paragraph)
+                  for word in span.split() if "=" in word)
+    assert "`corrupt_param` (unset by default)" in paragraph
+    assert set(stated) | {"corrupt_param"} == set(cli.GRADCHECK_KEYS)
+    defaults = ({f.name: f.default for f in fields(TrainConfig)}
+                | {f.name: f.default for f in fields(cli.GradcheckSpec)}
+                | cli.GRADCHECK_DEFAULTS)
+    for key, text in stated.items():
+        default = defaults[key]
+        assert cli.GRADCHECK_KEYS[key](text) == (
+            list(default) if isinstance(default, tuple) else default), key
 
 
 @pytest.mark.parametrize("settings,message", [
@@ -433,6 +457,53 @@ def test_eval_rejects_mismatched_checkpoint(tmp_path, tiny_tsv, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def rewrite_checkpoint(path, flags=None, rename=None):
+    """Set a checkpoint's header flags, or rename one of its matrices
+    to a name of the same length."""
+    blob = bytearray(read(path))
+    if flags is not None:
+        num_domains = struct.unpack_from("<I", blob, 8)[0]
+        struct.pack_into("<I", blob, 24 + 4 * num_domains, flags)
+    if rename is not None:
+        old, new = (name.encode("utf-8") for name in rename)
+        assert len(old) == len(new) and blob.count(old) == 1
+        blob = blob.replace(old, new)
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
+
+@pytest.mark.parametrize("mode,change,message", [
+    ("full", dict(flags=0), "checkpoint without flag bit 2 sums neighbors, which is no "
+                            "longer supported; retrain it"),
+    ("specific_only", dict(flags=3), "tie_relation_weights requires mode='full' (tied "
+                                     "matrices live on the specific path)"),
+    ("specific_only", dict(rename=("spec_uu/l0/d0", "spec_xx/l0/d0")),
+     "parameter set mismatch: missing 1 ('spec_uu/l0/d0'), unexpected 1 ('spec_xx/l0/d0')"),
+], ids=["sum_aggregation", "tied_specific_only", "renamed_matrix"])
+def test_eval_names_a_bad_checkpoint(tmp_path, tiny_tsv, capsys, mode, change, message):
+    # errors found while building the model from the file name it too
+    out = tmp_path / "run"
+    assert main(["train", "--config", train_cfg(tmp_path, epochs=1, mode=mode),
+                 "--data", tiny_tsv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    ckpt = str(out / "model.ckpt")
+    rewrite_checkpoint(ckpt, **change)
+    assert main(["eval", "--checkpoint", ckpt, "--data", tiny_tsv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ckpt}: {message}\n"
+
+
+def test_train_refuses_sum_aggregation(tmp_path, tiny_tsv, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", train_cfg(tmp_path, mean_aggregation="false"),
+                 "--data", tiny_tsv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mean_aggregation must be true: neighbors are always averaged\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("negatives", ["2", "1000000000000"])
 def test_eval_without_tasks_is_an_error(tmp_path, tiny_tsv, capsys, caplog, negatives):
     # 3 items per domain leave each user 1 eligible negative, fewer than asked for
@@ -547,6 +618,17 @@ def test_gradcheck_refuses_tied_weights_for_mf(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: tie_relation_weights requires mode='full' "
                             "(tied matrices live on the specific path)\n")
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_gradcheck_refuses_the_aggregation_key(tmp_path, capsys, value):
+    # gradcheck's conv always averages, so it takes no key to say so
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text(f"mean_aggregation={value}\n")
+    assert main(["gradcheck", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown config keys: mean_aggregation\n"
 
 
 def test_gradcheck_rejects_more_edges_than_pairs(tmp_path, capsys):

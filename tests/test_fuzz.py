@@ -65,7 +65,6 @@ CONFIG = (
     "layers=2\n"
     "lr=0.01\n"
     "mode=full\n"
-    "mean_aggregation=true\n"
     "triplets_per_epoch=none\n"
     "domain_weights=0.5,1.5\n"
     "data=interactions.tsv\n"
@@ -96,7 +95,7 @@ def checkpoint_bytes(model, tmp_path_factory):
 @pytest.fixture(scope="module")
 def graph_checkpoint(graph, tmp_path_factory):
     model = DisentangledGraphModel(graph, dim=2, layers=2, mode="full",
-                                   tie_relation_weights=True, mean_aggregation=True, seed=1)
+                                   tie_relation_weights=True, seed=1)
     return checkpoint_bytes(model, tmp_path_factory)
 
 

@@ -60,13 +60,14 @@ def test_ui_is_transpose_of_iu():
             for i in csr_row(g, d, u):
                 pairs_iu.add((u, int(i)))
         # the item-major operator applied to one-hot user rows gives the
-        # item x user incidence, row by row
+        # item x user incidence, row by row, scaled by each item's 1/degree
         to_users, to_items = g.aggregators(d)
         ui = to_items.apply(np.eye(g.num_users))
         pairs_ui = {(int(u), int(i)) for i, u in zip(*np.nonzero(ui))}
         assert pairs_iu == pairs_ui
         assert len(pairs_iu) == g.num_edges(d)
-        assert np.array_equal(to_users.apply(np.eye(g.num_items_per_domain[d])), ui.T)
+        iu = to_users.apply(np.eye(g.num_items_per_domain[d]))
+        assert np.array_equal(iu != 0, ui.T != 0)
 
 
 def test_neighbors_match_raw_edge_list():
@@ -99,11 +100,10 @@ def test_canonical_under_permutation():
     for d in range(2):
         for x, y in zip(a.edge_arrays(d), b.edge_arrays(d)):
             assert np.array_equal(x, y)
-        for mean in (False, True):
-            aa, ba = a.aggregators(d, mean), b.aggregators(d, mean)
-            src_u, src_i = rows[:a.num_items_per_domain[d]], rows[:a.num_users]
-            assert np.array_equal(aa.to_users.apply(src_u), ba.to_users.apply(src_u))
-            assert np.array_equal(aa.to_items.apply(src_i), ba.to_items.apply(src_i))
+        aa, ba = a.aggregators(d), b.aggregators(d)
+        src_u, src_i = rows[:a.num_items_per_domain[d]], rows[:a.num_users]
+        assert np.array_equal(aa.to_users.apply(src_u), ba.to_users.apply(src_u))
+        assert np.array_equal(aa.to_items.apply(src_i), ba.to_items.apply(src_i))
 
 
 def test_build_rejects_out_of_range_ids():
@@ -112,23 +112,20 @@ def test_build_rejects_out_of_range_ids():
         build_graph(log)
 
 
-def test_aggregator_sums_neighbors():
+def test_aggregator_averages_neighbors():
     log = make_log([(0, 0, 0), (0, 1, 0), (1, 1, 0)], 2, [2])
     g = build_graph(log)
     item_rows = np.array([[1.0, 0.0], [0.0, 1.0]])
     out = g.aggregators(0).to_users.apply(item_rows)
-    assert np.array_equal(out, [[1.0, 1.0], [0.0, 1.0]])
-    mean_out = g.aggregators(0, mean=True).to_users.apply(item_rows)
-    assert np.array_equal(mean_out, [[0.5, 0.5], [0.0, 1.0]])
+    assert np.array_equal(out, [[0.5, 0.5], [0.0, 1.0]])
     user_rows = np.array([[2.0], [4.0]])
-    assert np.array_equal(g.aggregators(0).to_items.apply(user_rows), [[2.0], [6.0]])
-    assert np.array_equal(g.aggregators(0, mean=True).to_items.apply(user_rows), [[2.0], [3.0]])
+    assert np.array_equal(g.aggregators(0).to_items.apply(user_rows), [[2.0], [3.0]])
 
 
 def test_aggregator_is_cached():
-    g = build_graph(make_log([(0, 0, 0)], 1, [1]))
+    g = build_graph(make_log([(0, 0, 0)], 1, [1, 1]))
     assert g.aggregators(0) is g.aggregators(0)
-    assert g.aggregators(0, mean=True) is not g.aggregators(0)
+    assert g.aggregators(1) is not g.aggregators(0)
 
 
 def test_has_edges():

@@ -23,13 +23,12 @@ from crossrec.training import TrainConfig, TripletBatch, bpr_domain_step, make_m
 from helpers import make_log, oracle_forward, random_graph, time_limit
 
 
-def small_model(seed=0, mode="full", layers=2, dim=6, tie=False, mean=False,
+def small_model(seed=0, mode="full", layers=2, dim=6, tie=False,
                 num_users=8, items=(5, 4), num_edges=18):
     rng = np.random.default_rng(seed)
     graph, _ = random_graph(rng, num_users, items, num_edges)
     model = DisentangledGraphModel(graph, dim=dim, layers=layers, mode=mode,
-                                   tie_relation_weights=tie,
-                                   mean_aggregation=mean, seed=seed + 100)
+                                   tie_relation_weights=tie, seed=seed + 100)
     return model
 
 
@@ -119,15 +118,13 @@ def test_forward_matches_nested_loop_oracle(mode):
 
 def test_forward_matches_oracle_with_tied_weights_and_mean():
     rng = np.random.default_rng(9)
-    for tie, mean in [(True, False), (False, True), (True, True)]:
+    for _ in range(3):
         graph, _ = random_graph(rng, 6, (4, 3), 12)
         model = DisentangledGraphModel(graph, dim=4, layers=2, mode="full",
-                                       tie_relation_weights=tie,
-                                       mean_aggregation=mean,
+                                       tie_relation_weights=True,
                                        seed=int(rng.integers(1000)))
         o_u, o_i = model.outputs()
-        want_u, want_i = oracle_forward(graph, model.params, 2, mode="full",
-                                        tie=tie, mean=mean)
+        want_u, want_i = oracle_forward(graph, model.params, 2, mode="full", tie=True)
         for d in range(graph.num_domains):
             assert np.allclose(o_u[d], want_u[d], rtol=0, atol=1e-10)
             assert np.allclose(o_i[d], want_i[d], rtol=0, atol=1e-10)
@@ -244,7 +241,7 @@ def test_zero_upstream_gradient_gives_zero_grads():
 def test_zero_layer_outputs_pass_back_no_gradient():
     # positive inputs through negative conv matrices: every ReLU output
     # is exactly 0, and the gate at 0 must pass nothing back
-    model = small_model(seed=17, mean=True)
+    model = small_model(seed=17)
     rng = np.random.default_rng(18)
     for name, p in model.params.items():
         sign = 1.0 if name.startswith(("user_emb", "item_emb", "out/")) else -1.0
@@ -280,16 +277,17 @@ def grads_close(analytic, numeric, rel_tol=1e-4, abs_floor=1e-6):
     return bool(ok_big.all() and ok_small.all())
 
 
-@pytest.mark.parametrize("mode,tie,mean", [
-    ("full", False, False),
-    ("specific_only", False, False),
-    ("shared_only", False, False),
-    ("full", True, False),
-    ("full", False, True),
-])
-def test_backward_matches_finite_differences(mode, tie, mean):
+BACKWARD_CASES = [("full", False), ("specific_only", False), ("shared_only", False),
+                  ("full", True)]
+
+
+# an id's last field once chose sum (False) or mean aggregation, and
+# every conv averages now
+@pytest.mark.parametrize("mode,tie", BACKWARD_CASES,
+                         ids=[f"{mode}-{tie}-True" for mode, tie in BACKWARD_CASES])
+def test_backward_matches_finite_differences(mode, tie):
     model = small_model(seed=15, mode=mode, dim=4, num_users=5, items=(4, 3),
-                        num_edges=10, tie=tie, mean=mean)
+                        num_edges=10, tie=tie)
     rng = np.random.default_rng(16)
     acts = model.forward()
     weights_u = [rng.standard_normal(a.shape) for a in acts.o_u]
@@ -395,7 +393,7 @@ def test_threaded_conv_is_bitwise_the_serial_conv(monkeypatch):
     rng = np.random.default_rng(22)
     graph, _ = random_graph(rng, 60, (30, 25, 20), 400)
     model = DisentangledGraphModel(graph, dim=8, layers=2, mode="full",
-                                   tie_relation_weights=True, mean_aggregation=True, seed=23)
+                                   tie_relation_weights=True, seed=23)
     acts = model.forward()
     do_u = [rng.standard_normal(a.shape) for a in acts.o_u]
     do_i = [rng.standard_normal(a.shape) for a in acts.o_i]
@@ -614,7 +612,7 @@ def test_parameter_mismatch_message_is_bounded(tmp_path):
 
 
 def test_checkpoint_rejects_unknown_flag_bits(tmp_path):
-    model = small_model(seed=34, mean=True)
+    model = small_model(seed=34)
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(model, path)
     blob = open(path, "rb").read()

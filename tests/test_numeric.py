@@ -16,11 +16,13 @@ from crossrec.numeric import (
 )
 
 
-def loop_segment_sum(rows, offsets, indices):
+def loop_segment_mean(rows, offsets, indices):
+    """Each segment's rows, each weighed by 1/length of the segment,
+    summed; an empty segment gives a zero row."""
     out = np.zeros((len(offsets) - 1, rows.shape[1]))
     for t in range(len(offsets) - 1):
         for j in range(offsets[t], offsets[t + 1]):
-            out[t] += rows[indices[j]]
+            out[t] += rows[indices[j]] / (offsets[t + 1] - offsets[t])
     return out
 
 
@@ -53,7 +55,7 @@ def test_segment_sum_matches_loop_reference():
         indices = rng.integers(0, num_src, size=offsets[-1])
         rows = rng.standard_normal((num_src, 5))
         got = CsrAggregator(offsets, indices, num_src).apply(rows)
-        want = loop_segment_sum(rows, offsets, indices)
+        want = loop_segment_mean(rows, offsets, indices)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -63,16 +65,18 @@ def test_segment_sum_empty_segments_are_zero():
     indices = np.array([0, 2])
     out = CsrAggregator(offsets, indices, num_sources=len(rows)).apply(rows)
     assert np.array_equal(out[0], [0.0, 0.0])
-    assert np.array_equal(out[1], [2.0, 2.0])
+    assert np.array_equal(out[1], [1.0, 1.0])
     assert np.array_equal(out[2], [0.0, 0.0])
 
 
 def test_segment_sum_repeated_index_counts_twice():
-    rows = np.array([[1.5, -2.0]])
-    offsets = np.array([0, 2])
-    indices = np.array([0, 0])
+    # row 0 three times and row 1 once: each weighs 1/4, so the mean is
+    # (3 * row 0 + row 1) / 4, not the mean of the two distinct rows
+    rows = np.array([[1.0, -2.0], [5.0, 2.0]])
+    offsets = np.array([0, 4])
+    indices = np.array([0, 0, 0, 1])
     out = CsrAggregator(offsets, indices, num_sources=len(rows)).apply(rows)
-    assert np.array_equal(out, [[3.0, -4.0]])
+    assert np.array_equal(out, [[2.0, -1.0]])
 
 
 def test_csr_aggregator_validates_structure():
@@ -108,11 +112,11 @@ def test_csr_aggregator_transpose_is_adjoint():
 
 
 def test_csr_aggregator_weights():
-    # mean aggregation over two neighbors weighs each by 0.5
+    # each of two neighbors weighs 0.5
     rows = np.array([[2.0], [4.0]])
     offsets = np.array([0, 2])
     indices = np.array([0, 1])
-    agg = CsrAggregator(offsets, indices, 2, mean=True)
+    agg = CsrAggregator(offsets, indices, 2)
     assert np.array_equal(agg.apply(rows), [[3.0]])
 
 

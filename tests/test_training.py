@@ -174,7 +174,7 @@ def add_at_loss_and_grads(model, batches, lambda_reg, betas):
 def test_fused_step_is_bitwise_add_at_reference(mode):
     rng = np.random.default_rng(23)
     graph, _ = random_graph(rng, 9, (7, 6), 30)
-    config = TrainConfig(dim=5, layers=2, mode=mode, mean_aggregation=True, seed=3)
+    config = TrainConfig(dim=5, layers=2, mode=mode, seed=3)
     model = make_model(graph, config)
     for trial in range(4):
         batches = [sample_triplets(graph, d, 25, np.random.default_rng([trial, d]))
@@ -242,19 +242,23 @@ def drop_graph():
     return build_graph(make_log(edges, 10, [2, 9, 12]))
 
 
-VARIANTS = [(mode, tie, mean, layers)
+VARIANTS = [(mode, tie, layers)
             for mode in MODES for tie in ((False, True) if mode == "full" else (False,))
-            for mean in (False, True) for layers in (1, 2, 3)] + [("mf", False, False, 1)]
+            for layers in (1, 2, 3)] + [("mf", False, 1)]
 # None: one pass over each domain's edges; 100: more triplets than any domain has edges
-CASES = [v + (None,) for v in VARIANTS] + [("full", True, True, 2, 100), ("mf", False, False, 1, 100)]
+CASES = [v + (None,) for v in VARIANTS] + [("full", True, 2, 100), ("mf", False, 1, 100)]
 
 
-@pytest.mark.parametrize("mode,tie,mean,layers,triplets", CASES)
-def test_trainer_is_bitwise_allocating_reference(mode, tie, mean, layers, triplets):
+# an id's third field, True for a conv and False for mf, once chose sum
+# (False) or mean aggregation for a conv; every conv averages now
+@pytest.mark.parametrize("mode,tie,layers,triplets", CASES,
+                         ids=[f"{mode}-{tie}-{mode != 'mf'}-{layers}-{triplets}"
+                              for mode, tie, layers, triplets in CASES])
+def test_trainer_is_bitwise_allocating_reference(mode, tie, layers, triplets):
     graph = drop_graph()
     config = TrainConfig(epochs=4, dim=5, layers=layers, lr=0.01, lambda_reg=1e-3,
-                         mode=mode, tie_relation_weights=tie, mean_aggregation=mean,
-                         seed=7, triplets_per_epoch=triplets)
+                         mode=mode, tie_relation_weights=tie, seed=7,
+                         triplets_per_epoch=triplets)
     trainer = Trainer(make_model(graph, config), config)
     for epoch, want in enumerate(reference_epochs(graph, config)):
         trainer.train_epoch()
@@ -408,12 +412,22 @@ def test_train_config_refuses_tied_weights_without_both_paths(mode):
         TrainConfig(mode=mode, tie_relation_weights=True)
 
 
+@pytest.mark.parametrize("mode", ["full", "mf"])
+def test_train_config_refuses_sum_aggregation(mode):
+    # the key stays for old configs, and only its default is legal
+    assert TrainConfig(mode=mode).mean_aggregation is True
+    assert TrainConfig(mode=mode, mean_aggregation=True) == TrainConfig(mode=mode)
+    with pytest.raises(ValueError, match="^mean_aggregation must be true: neighbors "
+                                         "are always averaged$"):
+        TrainConfig(mode=mode, mean_aggregation=False)
+
+
 def test_mf_leaves_the_conv_settings_unread():
-    # README's train.cfg sets layers and mean_aggregation, and must run with --mode mf
-    config = TrainConfig(dim=4, mode="mf", layers=7, mean_aggregation=True)
+    # README's train.cfg sets layers, and must run with --mode mf
+    config = TrainConfig(dim=4, mode="mf", layers=7)
     graph, _ = random_graph(np.random.default_rng(5), 4, (3, 3), 8)
     model = make_model(graph, config)
-    assert (model.mode, model.layers, model.mean_aggregation) == ("mf", 0, False)
+    assert (model.mode, model.layers) == ("mf", 0)
     assert sorted(model.params) == ["item_emb/d0", "item_emb/d1", "user_emb/d0", "user_emb/d1"]
 
 
