@@ -9,16 +9,20 @@ here as MfModel.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .data import InteractionLog, interaction_records
-from .model import MfModel  # noqa: F401  re-exported; defined beside the conv model
+from .model import CONV_THREADS, MfModel, run_tasks  # noqa: F401  MfModel re-exported
 from .numeric import check_seed
 
 GEN_STREAM = 4
+# rows of Gumbel keys drawn, offset and partitioned at a time
+GUMBEL_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -54,7 +58,9 @@ def generate_synthetic(spec: SyntheticSpec):
     (1-s)*z_d of latent normals; items carry latent vectors; each user
     picks interactions_per_user distinct items per domain proportional
     to softmax(preference . item / temperature), via the Gumbel top-k
-    trick. Timestamps are a random permutation per (user, domain).
+    trick (``gumbel_top_k``, which draws the keys on the conv pool and
+    leaves every bit as one serial draw would). Timestamps are a random
+    permutation per (user, domain).
 
     Returns (log, manifest); the manifest carries counts, per-domain
     item degree histograms, and the planted latents (arrays are for
@@ -75,9 +81,9 @@ def generate_synthetic(spec: SyntheticSpec):
 
     cols, degree = [], []
     for d in range(D):
-        logits = prefs[d] @ item_latents[d].T / spec.temperature
-        gumbel = rng.gumbel(size=(U, I))
-        picks = np.argpartition(-(logits + gumbel), k - 1, axis=1)[:, :k]
+        logits = prefs[d] @ item_latents[d].T
+        logits /= spec.temperature
+        picks = gumbel_top_k(rng, logits, k)
         # permuted shuffles row after row, drawing as rng.permutation(k)
         # would once per user in user order
         stamps = rng.permuted(np.tile(np.arange(k), (U, 1)), axis=1)
@@ -102,6 +108,50 @@ def generate_synthetic(spec: SyntheticSpec):
         "item_latents": item_latents,
     }
     return log, manifest
+
+
+def gumbel_top_k(rng, logits, k: int) -> np.ndarray:
+    """Per row of ``logits``, its k Gumbel-perturbed largest columns, bit
+    for bit ``np.argpartition(-(logits + rng.gumbel(size=logits.shape)),
+    k - 1, axis=1)[:, :k]``, and ``rng`` (a PCG64 Generator) is left in
+    the state that expression leaves it in.
+
+    The rows are split into one contiguous part per conv thread, and the
+    parts run on the conv pool, GUMBEL_BLOCK_ROWS rows of keys at a time.
+    The first part draws on ``rng``; each later part on a copy of its
+    bit generator advanced one draw per entry before the part. gumbel
+    draws again for a raw double of 0, so a part can take more draws
+    than it has entries: then ``rng`` does not end the part where the
+    next one started, and it draws that part again itself. Otherwise it
+    takes the part's end state, keeping its own buffered 32-bit half
+    (``has_uint32``, ``uinteger``), which the copy's advance dropped."""
+    rows, cols = logits.shape
+    picks = np.empty((rows, k), dtype=np.intp)
+
+    def fill(gen, lo, hi):
+        for b in range(lo, hi, GUMBEL_BLOCK_ROWS):
+            e = min(b + GUMBEL_BLOCK_ROWS, hi)
+            keys = gen.gumbel(size=(e - b, cols))
+            keys += logits[b:e]
+            np.negative(keys, out=keys)
+            picks[b:e] = np.argpartition(keys, k - 1, axis=1)[:, :k]
+
+    bounds = [rows * j // CONV_THREADS for j in range(CONV_THREADS + 1)]
+    gens = [rng]
+    for lo in bounds[1:-1]:
+        bits = copy.deepcopy(rng.bit_generator)
+        gens.append(np.random.Generator(bits.advance(lo * cols)))
+    starts = [gen.bit_generator.state["state"]["state"] for gen in gens]
+    run_tasks([partial(fill, gen, lo, hi) for gen, lo, hi in zip(gens, bounds, bounds[1:])],
+              np.diff(bounds), parallel=True)
+    for j in range(1, len(gens)):
+        state = rng.bit_generator.state
+        if state["state"]["state"] == starts[j]:
+            state["state"] = gens[j].bit_generator.state["state"]
+            rng.bit_generator.state = state
+        else:
+            fill(rng, bounds[j], bounds[j + 1])
+    return picks
 
 
 def manifest_json_subset(manifest: dict) -> dict:

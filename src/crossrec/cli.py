@@ -158,6 +158,8 @@ def _require_file(path: str, what: str) -> str:
 
 
 def _ensure_out(path: str) -> str:
+    """Make the output directory. Commands call this only once their
+    input is read, so a command that fails on its input leaves none."""
     if not path:
         raise ValueError("missing required --out directory")
     os.makedirs(path, exist_ok=True)
@@ -168,10 +170,9 @@ def _ensure_out(path: str) -> str:
 
 
 def cmd_prepare(args) -> int:
-    data = _require_file(args.data, "--data")
-    out = _ensure_out(args.out)
-    log = parse_log(data)
+    log = parse_log(_require_file(args.data, "--data"))
     split = split_leave_latest(log)
+    out = _ensure_out(args.out)
     write_interactions_tsv(os.path.join(out, "train.tsv"), split.train)
     write_interactions_tsv(os.path.join(out, "test.tsv"),
                            replace(split.train, interactions=split.test))
@@ -187,8 +188,8 @@ def cmd_train(args) -> int:
                                   seed=args.seed, mode=args.mode)
     config = TrainConfig(**kwargs)
     data = _require_file(args.data or extras.get("data"), "--data")
-    out = _ensure_out(args.out)
     split = split_leave_latest(parse_log(data))
+    out = _ensure_out(args.out)
     with atomic_open(os.path.join(out, "train_log.tsv")) as log_fh:
         result = fit(split, config, log_stream=log_fh)
     save_checkpoint(result.model, os.path.join(out, "model.ckpt"))
@@ -240,9 +241,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth(args) -> int:
     kwargs, _ = _load_config(args.config, SYNTH_KEYS, seed=args.seed)
-    spec = SyntheticSpec(**kwargs)
+    log, manifest = generate_synthetic(SyntheticSpec(**kwargs))
     out = _ensure_out(args.out)
-    log, manifest = generate_synthetic(spec)
     write_interactions_tsv(os.path.join(out, "interactions.tsv"), log)
     with atomic_open(os.path.join(out, "manifest.json")) as fh:
         json.dump(manifest_json_subset(manifest), fh, indent=2, sort_keys=True)
@@ -257,8 +257,8 @@ def cmd_bench(args) -> int:
     seeds = kwargs.pop("seeds", [0])
     configs = [TrainConfig(**kwargs, mode=mode, seed=seed) for mode in modes for seed in seeds]
     data = _require_file(args.data or extras.get("data"), "--data")
-    out = _ensure_out(args.out)
     split = split_leave_latest(parse_log(data))
+    out = _ensure_out(args.out)
     # negatives avoid every train item, as eval's do, also when fit
     # trains on a validation split of the train side
     graph = build_graph(split.train)

@@ -23,7 +23,9 @@ largest first; numpy's and scipy's products release the GIL, so the
 paths run at once. A task writes only its own path's caches and
 deltas, into arrays the calling thread allocated, and returns its
 weight-gradient products, which the calling thread adds in path order.
-Every result is therefore bit for bit the serial one.
+Every result is therefore bit for bit the serial one. The same pool
+(run_tasks) also serves the synthetic generator's Gumbel draw
+(baselines.gumbel_top_k).
 """
 
 from __future__ import annotations
@@ -70,10 +72,10 @@ CONV_THREADS = 2
 @cache
 def _conv_pool() -> ThreadPoolExecutor:
     """The process's one conv pool, started on first use, as BLAS keeps
-    one: its threads serve every model, so their malloc arenas are made
-    only once. A forked child has none of its parent's threads, so the
-    fork hook below empties the cache and the child starts a pool of
-    its own."""
+    one: its threads serve every model and the synthetic generator, so
+    their malloc arenas are made only once. A forked child has none of
+    its parent's threads, so the fork hook below empties the cache and
+    the child starts a pool of its own."""
     return ThreadPoolExecutor(max_workers=CONV_THREADS, thread_name_prefix="crossrec-conv")
 
 

@@ -1,13 +1,15 @@
 """Print the SHA-256 of each model variant's checkpoint after a short,
 fixed training run, one `variant<TAB>sha256` line each, then an `eval`
 line: the SHA-256 of the eval tasks' record bytes followed by the
-metrics.kv text of one trained variant, and then a `data` line: the
-SHA-256 of what parse_log and split_leave_latest make of a fixed TSV.
+metrics.kv text of one trained variant, a `data` line: the SHA-256 of
+what parse_log and split_leave_latest make of a fixed TSV, and a
+`synth` line: the SHA-256 of what generate_synthetic makes of a few
+fixed specs.
 
 A refactor that must not change a bit is proven by running this on the
 commit before and after it and comparing the lines:
 
-    python3 tests/checkpoint_hashes.py                  # all 13 variants, eval, data
+    python3 tests/checkpoint_hashes.py                  # all 13 variants, eval, data, synth
     python3 tests/checkpoint_hashes.py full-t0-m1-l2 mf  # a few of them
     python3 tests/checkpoint_hashes.py eval             # the eval digest alone
 
@@ -24,7 +26,13 @@ train and test record bytes and the user, item and domain names that
 parse_log and split_leave_latest give for that corpus written as a TSV
 with repeated lines at older and newer timestamps and timestamp ties
 added, so it proves the dedupe and the split as the CLI runs them. The
-script imports crossrec from the `src/` next to its own directory.
+`synth` digest covers, for each of SYNTH_SPECS in turn, the log's
+record bytes and names, the manifest's JSON part and the bytes of its
+planted `prefs` and `item_latents`. The specs are the benchmark's S
+corpus shape at seeds 0 and 1 (several domains, and many row blocks
+per part of the Gumbel draw), a two-domain spec with matched item
+latents, and a one-user spec, whose first part of the draw is empty.
+The script imports crossrec from the `src/` next to its own directory.
 """
 
 import hashlib
@@ -35,7 +43,11 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
-from crossrec.baselines import SyntheticSpec, generate_synthetic  # noqa: E402
+from crossrec.baselines import (  # noqa: E402
+    SyntheticSpec,
+    generate_synthetic,
+    manifest_json_subset,
+)
 from crossrec.data import parse_log, split_leave_latest, write_interactions_tsv  # noqa: E402
 from crossrec.evaluation import build_eval_tasks, evaluate, write_metrics_kv  # noqa: E402
 from crossrec.model import MODES, save_checkpoint  # noqa: E402
@@ -54,6 +66,17 @@ EVAL_VARIANT = "full-t0-m1-l2"
 EVAL_NEGATIVES = 20
 DATA = "data"
 TIED = 10**9  # above every timestamp generate_synthetic writes
+SYNTH = "synth"
+SYNTH_SPECS = [
+    *(SyntheticSpec(num_users=2000, items_per_domain=500, num_domains=3, latent_dim=4,
+                    shared_signal=0.8, interactions_per_user=4, temperature=0.5, seed=seed)
+      for seed in (0, 1)),
+    SyntheticSpec(num_users=50, items_per_domain=60, num_domains=2, latent_dim=8,
+                  shared_signal=1.0, interactions_per_user=5, seed=4,
+                  matched_item_latents=True),
+    SyntheticSpec(num_users=1, items_per_domain=7, num_domains=3, latent_dim=2,
+                  interactions_per_user=3, seed=2),
+]
 
 
 def train(split, name):
@@ -84,10 +107,26 @@ def data_digest(log, path):
     return digest.hexdigest()
 
 
+def synth_digest():
+    """The SHA-256 hex digest of generate_synthetic's log and manifest,
+    arrays included, for each of SYNTH_SPECS."""
+    digest = hashlib.sha256()
+    for spec in SYNTH_SPECS:
+        log, manifest = generate_synthetic(spec)
+        digest.update(log.interactions.tobytes())
+        digest.update(json.dumps([log.user_names, log.item_names, log.domain_names,
+                                  manifest_json_subset(manifest)],
+                                 sort_keys=True).encode("utf-8"))
+        for array in manifest["prefs"] + manifest["item_latents"]:
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
 def checkpoint_hashes(names):
     """Yield (name, SHA-256 hex digest) of each named variant's
-    checkpoint, of the eval tasks and metrics for ``eval``, or of the
-    parsed and split TSV for ``data``."""
+    checkpoint, of the eval tasks and metrics for ``eval``, of the
+    parsed and split TSV for ``data``, or of the generator's output for
+    ``synth``."""
     log, _ = generate_synthetic(SyntheticSpec(num_users=120, items_per_domain=40,
                                               num_domains=3, seed=3))
     split = split_leave_latest(log)
@@ -96,6 +135,9 @@ def checkpoint_hashes(names):
         for name in names:
             if name == DATA:
                 yield name, data_digest(log, os.path.join(tmp, "log.tsv"))
+                continue
+            if name == SYNTH:
+                yield name, synth_digest()
                 continue
             if name == EVAL:
                 model = train(split, EVAL_VARIANT)
@@ -114,11 +156,11 @@ def checkpoint_hashes(names):
 
 
 def main(argv) -> int:
-    names = argv or [*VARIANTS, EVAL, DATA]
-    unknown = [name for name in names if name not in (*VARIANTS, EVAL, DATA)]
+    names = argv or [*VARIANTS, EVAL, DATA, SYNTH]
+    unknown = [name for name in names if name not in (*VARIANTS, EVAL, DATA, SYNTH)]
     if unknown:
         print(f"error: unknown variants {unknown}; known: {', '.join(VARIANTS)}, {EVAL}, "
-              f"{DATA}", file=sys.stderr)
+              f"{DATA}, {SYNTH}", file=sys.stderr)
         return 1
     for name, digest in checkpoint_hashes(names):
         print(f"{name}\t{digest}")

@@ -1,16 +1,21 @@
 """Tests for the factorization baseline, ablation wiring, and the
-synthetic data generator's planted signal."""
+synthetic data generator's planted signal and its Gumbel draw's bits."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
+from crossrec import baselines
 from crossrec.baselines import (
     MfModel,
     SyntheticSpec,
     generate_synthetic,
+    gumbel_top_k,
     manifest_json_subset,
     random_log,
 )
@@ -230,6 +235,91 @@ def test_manifest_json_subset_is_serializable():
     assert "prefs" not in subset
     assert "item_latents" not in subset
     assert json.loads(text)["num_users"] == 60
+
+
+# -- the Gumbel top-k draw ----------------------------------------------------------
+
+# numpy's PCG64 multiplier: a draw steps the state to state * PCG_MULT +
+# inc mod 2**128 and outputs the stepped state's high half XOR its low
+# half, rotated
+PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
+
+
+def serial_top_k(rng, logits, k):
+    """The one serial draw that gumbel_top_k must reproduce."""
+    return np.argpartition(-(logits + rng.gumbel(size=logits.shape)), k - 1, axis=1)[:, :k]
+
+
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts the rows of Gumbel keys drawn on it."""
+    rows = 0
+
+    def gumbel(self, *args, size=None, **kwargs):
+        self.rows += size[0]
+        return super().gumbel(*args, size=size, **kwargs)
+
+
+def zero_draw_generator(seed, draw):
+    """A CountingGenerator on a PCG64 whose raw output ``draw`` (from 0)
+    is 0: the state that draw steps to is 0, and the steps before it are
+    undone with the multiplier's inverse. gumbel draws again there."""
+    bits = np.random.PCG64(seed)
+    state = bits.state
+    inc, stepped = state["state"]["inc"], 0
+    for _ in range(draw + 1):
+        stepped = (stepped - inc) * pow(PCG_MULT, -1, 2**128) % 2**128
+    state["state"]["state"] = stepped
+    bits.state = state
+    assert copy.deepcopy(bits).random_raw(draw + 1)[-1] == 0
+    return CountingGenerator(bits)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(rows=st.integers(0, 9), cols=st.integers(2, 12), seed=st.integers(0, 2**32),
+       data=st.data())
+def test_gumbel_top_k_is_the_serial_draw(rows, cols, seed, data):
+    k = data.draw(st.integers(1, cols - 1))
+    logits = np.random.default_rng([seed, 1]).standard_normal((rows, cols))
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    picks = gumbel_top_k(rng, logits, k)
+    assert np.array_equal(picks, serial_top_k(ref, logits, k))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_gumbel_top_k_keeps_the_buffered_32_bit_half():
+    # a float32 draw takes half of a 64-bit output and buffers the other
+    # half, which the next float32 draw reads
+    logits = np.random.default_rng(1).standard_normal((7, 9))
+    rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+    for gen in (rng, ref):
+        gen.random(dtype=np.float32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    assert np.array_equal(gumbel_top_k(rng, logits, 3), serial_top_k(ref, logits, 3))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
+
+
+@pytest.mark.parametrize("zero_at,rows_on_rng", [(None, 2), (3, 4), (7, 4), (13, 2), (17, 2)],
+                         ids=["no_zero", "first_part", "first_part_second_block",
+                              "second_part", "second_part_second_block"])
+def test_gumbel_top_k_redraws_a_part_started_at_the_wrong_draw(monkeypatch, zero_at,
+                                                               rows_on_rng):
+    # 4 rows of 5 in two parts of two one-row blocks: the first part
+    # takes draws 0-9 and the second 10-19, one more for a raw 0. After
+    # one in the first part, the second part's copy started a draw
+    # early, so rng draws that part again; after one in the second
+    # part, or none, rng draws the first part alone
+    monkeypatch.setattr(baselines, "CONV_THREADS", 2)
+    monkeypatch.setattr(baselines, "GUMBEL_BLOCK_ROWS", 1)
+    logits = np.random.default_rng(4).standard_normal((4, 5))
+    if zero_at is None:
+        rng, ref = (CountingGenerator(np.random.PCG64(6)) for _ in range(2))
+    else:
+        rng, ref = (zero_draw_generator(6, zero_at) for _ in range(2))
+    picks = gumbel_top_k(rng, logits, 2)
+    assert rng.rows == rows_on_rng
+    assert np.array_equal(picks, serial_top_k(ref, logits, 2))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # -- random logs -------------------------------------------------------------------

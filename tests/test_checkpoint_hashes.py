@@ -1,6 +1,7 @@
 """Keeps tests/checkpoint_hashes.py, the byte-identity proof for
 refactors, runnable, and pins every digest it prints, the checkpoints
-with the conv run serially and on threads."""
+with the conv run serially and on threads, and the generator's with
+its Gumbel draw in one, two and three parts."""
 
 import os
 import re
@@ -11,7 +12,7 @@ import threading
 import pytest
 
 import checkpoint_hashes
-from crossrec import model
+from crossrec import baselines, model
 
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "checkpoint_hashes.py")
 
@@ -59,6 +60,27 @@ def test_data_digest_is_pinned():
     done = run("data")
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"data\t{DATA_DIGEST}\n"
+
+
+# the SHA-256 of generate_synthetic's logs, manifests and planted
+# arrays for SYNTH_SPECS, as its one serial Gumbel draw gave them before
+# the draw moved onto the conv pool; a change meant to move it updates
+# it and says why
+SYNTH_DIGEST = "606aaa023024a4b71682a635d791cc5aeb07e52dbe4c176a9f23a187c1d52f22"
+
+
+def test_synth_digest_is_pinned():
+    done = run("synth")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"synth\t{SYNTH_DIGEST}\n"
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+def test_synth_digest_holds_for_any_number_of_parts(parts, monkeypatch):
+    # one part draws every row on the generator itself; three chain two
+    # advanced copies, more than the pool has threads
+    monkeypatch.setattr(baselines, "CONV_THREADS", parts)
+    assert checkpoint_hashes.synth_digest() == SYNTH_DIGEST
 
 
 # each variant's checkpoint SHA-256, unchanged since 058b04e; a change

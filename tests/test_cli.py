@@ -150,6 +150,29 @@ def test_out_of_memory_is_one_error_line(tmp_path, tiny_tsv, monkeypatch, capsys
     assert captured.err == f"error: {line}\n"
 
 
+@pytest.mark.parametrize("command", ["synth", "prepare", "train", "bench"])
+def test_a_command_that_fails_on_its_input_leaves_no_output_directory(tmp_path, monkeypatch,
+                                                                      capsys, command):
+    # the directory is made only once the log is generated or parsed
+    out = tmp_path / "fresh"
+    argv = [command, "--out", str(out)]
+    if command == "synth":
+        def out_of_memory(spec):
+            raise MemoryError("Unable to allocate 1.46 TiB for an array with shape "
+                              "(2000, 100000000000) and data type float64")
+
+        monkeypatch.setattr(cli, "generate_synthetic", out_of_memory)
+    else:
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("u0\ti0\tbooks\t1\nu1\ti1\tbooks\n")
+        argv += ["--data", str(bad)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_every_command_takes_its_pinned_key_set():
     # each command's keys, as README's CLI reference lists them
     train = {"epochs", "dim", "layers", "lr", "lambda_reg", "domain_weights",
