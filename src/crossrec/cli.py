@@ -259,6 +259,20 @@ def cmd_bench(args) -> int:
     data = _require_file(args.data or extras.get("data"), "--data")
     split = split_leave_latest(parse_log(data))
     out = _ensure_out(args.out)
+    # earlier rows are read before the grid trains, so a bad file fails
+    # the run at once
+    results_path = os.path.join(out, "results.tsv")
+    earlier = ""
+    if os.path.exists(results_path):
+        try:
+            with open(results_path, "r", encoding="utf-8") as fh:
+                earlier = fh.read()
+        except UnicodeDecodeError:
+            raise utf8_error(results_path) from None
+    if not earlier:
+        earlier = "mode\tseed\tdomain\tusers\thr_at_10\tndcg_at_10\n"
+    elif not earlier.endswith("\n"):
+        earlier += "\n"
     # negatives avoid every train item, as eval's do, also when fit
     # trains on a validation split of the train side
     graph = build_graph(split.train)
@@ -271,15 +285,6 @@ def cmd_bench(args) -> int:
                 m.ndcg_at_10)))
     # the file is rewritten whole, earlier rows first, once the grid is
     # done: a run that fails part way leaves it as it was
-    results_path = os.path.join(out, "results.tsv")
-    earlier = ""
-    if os.path.exists(results_path):
-        with open(results_path, "r", encoding="utf-8") as fh:
-            earlier = fh.read()
-    if not earlier:
-        earlier = "mode\tseed\tdomain\tusers\thr_at_10\tndcg_at_10\n"
-    elif not earlier.endswith("\n"):
-        earlier += "\n"
     with atomic_open(results_path) as fh:
         fh.write(earlier)
         for row in rows:

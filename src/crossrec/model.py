@@ -41,7 +41,7 @@ import numpy as np
 
 from .data import atomic_open
 from .graph import HeteroGraph
-from .numeric import FlatArrays, Scratch, check_finite
+from .numeric import FlatArrays, check_finite
 
 # the paths of each mode, by kind; specific paths come first
 PATH_KINDS = {"full": ("spec", "shared"), "specific_only": ("spec",),
@@ -144,7 +144,7 @@ def pack_params(shapes, params) -> FlatArrays:
 
 
 class FlatModel:
-    """The step memory every trainable model owns.
+    """The parameter and gradient vectors every trainable model owns.
 
     ``param_vector`` holds the parameters in param_shapes() order and
     ``params`` maps each name to a view of it. The mapping is read-only
@@ -152,17 +152,14 @@ class FlatModel:
     writing into its view, and the L2 term, Adam and checkpoints, which
     read the vector, always see what the forward pass used.
     ``grad_vector`` has the same layout and holds the last backward's
-    gradients. ``scratch`` holds the backward's deltas. It starts
-    empty, a Trainer sizes it and fit empties it again, so a model that
-    is only evaluated holds none: a presized block would sit in the
-    heap unused and push the evaluation's arrays into fresh memory.
+    gradients. Nothing else outlives a step: the forward's caches and
+    the backward's deltas are allocated by the call that needs them.
     """
 
     def __init__(self, params: dict):
         shapes = self.param_shapes()
         self._params = pack_params(shapes, params)
         self._grads = FlatArrays(shapes)
-        self.scratch = Scratch()
 
     @property
     def params(self):
@@ -175,10 +172,6 @@ class FlatModel:
     @property
     def grad_vector(self) -> np.ndarray:
         return self._grads.data
-
-    def delta_shapes(self) -> list:
-        """Shapes of the scratch arrays backward takes; none by default."""
-        return []
 
     def _zeroed_grads(self) -> dict:
         """Zero the gradient vector; a new dict of views of it by name."""
@@ -310,18 +303,6 @@ class DisentangledGraphModel(FlatModel):
             shapes.append((f"out/d{d}", (k, k)))
         return shapes
 
-    def delta_shapes(self) -> list:
-        """Shapes of the gradients backward keeps at each path's cached
-        representations: two layers' worth per path, the users' twice,
-        then twice the items' per domain. Layer l's deltas sit in set
-        l % 2, since only layers l and l + 1 are live at once."""
-        g, k = self.graph, self.dim
-        shapes = []
-        for _, domains in self.paths:
-            shapes += [(g.num_users, k)] * 2
-            shapes += [(g.num_items_per_domain[d], k) for _ in range(2) for d in domains]
-        return shapes
-
     # -- the relational conv -------------------------------------------------
 
     def _run_paths(self, tasks: list) -> list:
@@ -364,10 +345,10 @@ class DisentangledGraphModel(FlatModel):
     def _conv_backward(self, path: PathCache, l: int, du: list, di: list,
                        aggs: list) -> list:
         """Reverse of _conv_forward: layer l's input gradients go into
-        du[l] / di[l][d], which this zeroes first, given the output
-        gradients du[l + 1] / di[l + 1][d]. Those are consumed: each is
-        gated by its ReLU in place, becoming dz, as nothing else reads
-        layer l+1's deltas. The gate leaves -0.0 where it zeroes a
+        du[l] / di[l][d], which the caller allocated zeroed, given the
+        output gradients du[l + 1] / di[l + 1][d]. Those are consumed:
+        each is gated by its ReLU in place, becoming dz, as nothing else
+        reads layer l+1's deltas. The gate leaves -0.0 where it zeroes a
         negative delta, but every use of dz sums products into a target
         that starts at +0.0, and (+0) + (-0) = +0, so no result bit
         depends on that sign. A relation's output gradient goes back
@@ -382,9 +363,6 @@ class DisentangledGraphModel(FlatModel):
         x_u, x_i = path.users[l], path.items[l]
         uu = w[path.domains[0]].uu
         products = []
-        du[l].fill(0.0)
-        for d in path.domains:
-            di[l][d].fill(0.0)
         dz_u = du[l + 1]
         dz_u *= path.users[l + 1] > 0.0
         products.append((uu, x_u.T @ dz_u))
@@ -461,13 +439,12 @@ class DisentangledGraphModel(FlatModel):
         path order and, within a path, domain by domain ascending.
 
         The gradients are added into the zeroed gradient vector, and
-        the returned dict holds views of it by name. The gradients
-        at each path's cached representations are taken from the
-        scratch, two layers' worth per path (delta_shapes): layer l's
-        share a set with layer l + 2's, which the conv backward of layer
-        l + 1 has consumed, and layer l's conv backward zeroes the set
-        before it fills it. Each conv backward gates its output
-        gradients in place, so afterwards those hold the gated values.
+        the returned dict holds views of it by name. The gradients at
+        each path's cached representations, its deltas, are allocated
+        zeroed here, a layer's just before its conv backward runs, and
+        the layer above's are dropped once that has ended, so two
+        layers' worth per path are live. Each conv backward gates its
+        output gradients in place.
 
         Each layer runs one _conv_backward task per path, on the conv
         pool when the layer is big enough, as forward does; once all
@@ -475,23 +452,22 @@ class DisentangledGraphModel(FlatModel):
         path order, so tied relation weights sum in the serial order.
         """
         P, L, D = self.params, self.layers, self.graph.num_domains
+        g, k = self.graph, self.dim
         if len(acts.o_u) != D or len(acts.paths) != len(self.paths):
             raise ValueError("activations do not match this model")
         self._check_upstream(acts, do_u, do_i)
 
         grads = self._zeroed_grads()
-        aggs = [self.graph.aggregators(d) for d in range(D)]
-        taken = iter(self.scratch.take(*self.delta_shapes()))
-        deltas = []
-        for p in acts.paths:
-            du = [next(taken) for _ in range(2)]
-            di = [{d: next(taken) for d in p.domains} for _ in range(2)]
-            deltas.append(([du[l % 2] for l in range(L + 1)],
-                           [di[l % 2] for l in range(L + 1)]))
-            du[L % 2].fill(0.0)
-            for x in di[L % 2].values():
-                x.fill(0.0)
+        aggs = [g.aggregators(d) for d in range(D)]
+        # (du, di) per path, indexed by layer; a dropped layer holds None
+        deltas = [([None] * (L + 1), [None] * (L + 1)) for _ in acts.paths]
 
+        def allocate(l):
+            for p, (du, di) in zip(acts.paths, deltas):
+                du[l] = np.zeros((g.num_users, k))
+                di[l] = {d: np.zeros((g.num_items_per_domain[d], k)) for d in p.domains}
+
+        allocate(L)
         for d in range(D):
             grads[f"out/d{d}"] += acts.s_u[d].T @ do_u[d]
             ds = do_u[d] @ P[f"out/d{d}"].T
@@ -501,11 +477,14 @@ class DisentangledGraphModel(FlatModel):
                     di[L][d] += do_i[d]
 
         for l in reversed(range(L)):
+            allocate(l)
             tasks = [partial(self._conv_backward, p, l, du, di, aggs)
                      for p, (du, di) in zip(acts.paths, deltas)]
             for products in self._run_paths(tasks):
                 for name, product in products:
                     grads[name] += product
+            for du, di in deltas:
+                du[l + 1] = di[l + 1] = None
 
         # layer 0 representations are the embedding tables themselves
         for p, (du, di) in zip(acts.paths, deltas):
@@ -563,9 +542,7 @@ class MfModel(FlatModel):
 
     def backward(self, acts: Activations, do_u: list, do_i: list) -> dict:
         """The output gradients are the table gradients, added into the
-        zeroed gradient vector; returns a dict of views of it by name.
-        Nothing lies between the tables and the outputs, so the scratch
-        goes unused."""
+        zeroed gradient vector; returns a dict of views of it by name."""
         self._check_upstream(acts, do_u, do_i)
         grads = self._zeroed_grads()
         for d in range(self.graph.num_domains):

@@ -77,17 +77,6 @@ class CsrAggregator:
         return self.matrix_t @ rows
 
 
-def packed_views(data: Array, shapes) -> list:
-    """Views of the 1-D ``data`` with the given shapes, packed from its
-    start in order."""
-    views, pos = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(data[pos:pos + size].reshape(shape))
-        pos += size
-    return views
-
-
 class FlatArrays:
     """Named float64 arrays packed into one contiguous zeroed vector.
 
@@ -99,31 +88,15 @@ class FlatArrays:
 
     def __init__(self, shapes):
         self.data = np.zeros(sum(math.prod(shape) for _, shape in shapes))
-        self.views = MappingProxyType(dict(zip(
-            [name for name, _ in shapes], packed_views(self.data, [shape for _, shape in shapes]))))
+        views, pos = {}, 0
+        for name, shape in shapes:
+            size = math.prod(shape)
+            views[name] = self.data[pos:pos + size].reshape(shape)
+            pos += size
+        self.views = MappingProxyType(views)
 
 
-class Scratch:
-    """A float64 buffer lent out as packed arrays.
-
-    Every ``take`` packs its arrays from the start of the buffer, which
-    it grows when too small, so they overlap what earlier takes
-    returned: a caller may use what it took only until the next take.
-    A model's backward takes its deltas from one, so repeated steps
-    reuse one block of memory. The buffer starts empty.
-    """
-
-    def __init__(self):
-        self.data = np.empty(0)
-
-    def take(self, *shapes) -> list:
-        size = sum(math.prod(shape) for shape in shapes)
-        if size > self.data.size:
-            self.data = np.empty(size)
-        return packed_views(self.data, shapes)
-
-
-# entries per pass of adam_step: its two scratch rows stay in cache
+# entries per pass of adam_step: its two chunk rows stay in cache
 ADAM_CHUNK = 16384
 # Adam's decay rates and denominator floor, the values of Kingma & Ba
 ADAM_BETA1 = 0.9
@@ -141,7 +114,6 @@ class AdamState:
     v: Array
     t: int = 0
     lr: float = 1e-3
-    scratch: Array = None  # adam_step's two chunk rows, made on first use
 
     @classmethod
     def for_param(cls, param, lr: float = 1e-3) -> "AdamState":
@@ -153,12 +125,13 @@ def adam_step(param, grad, state: AdamState) -> Array:
     """One Adam update of ``param`` in place; mutates ``state`` and
     returns ``param``, which must be a C-contiguous float64 array.
 
-    The moments update in place, chunk by chunk through the state's one
-    scratch block, so a step allocates nothing of the parameter's size.
-    Each entry gets the operations of m = b1*m + (1-b1)*g,
-    v = b2*v + (1-b2)*(g*g), param - lr*(m/c1) / (sqrt(v/c2) + eps) in
-    that order, so results do not depend on the chunking. A non-finite
-    gradient is refused before anything moves.
+    The moments update in place, chunk by chunk through two rows of
+    ADAM_CHUNK entries that each call allocates, so a step allocates
+    nothing of the parameter's size. Each entry gets the operations of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    param - lr*(m/c1) / (sqrt(v/c2) + eps) in that order, so results do
+    not depend on the chunking. A non-finite gradient is refused before
+    anything moves.
     """
     if not (isinstance(param, np.ndarray) and param.dtype == np.float64
             and param.flags.c_contiguous):
@@ -177,11 +150,10 @@ def adam_step(param, grad, state: AdamState) -> Array:
     c2 = 1.0 - b2 ** state.t
     p, g = param.reshape(-1), grad.reshape(-1)
     m, v = state.m.reshape(-1), state.v.reshape(-1)
-    if state.scratch is None:
-        state.scratch = np.empty((2, min(ADAM_CHUNK, p.size)))
+    rows = np.empty((2, min(ADAM_CHUNK, p.size)))
     for lo in range(0, p.size, ADAM_CHUNK):
         hi = min(lo + ADAM_CHUNK, p.size)
-        a, b = state.scratch[0, :hi - lo], state.scratch[1, :hi - lo]
+        a, b = rows[0, :hi - lo], rows[1, :hi - lo]
         gc, mc, vc = g[lo:hi], m[lo:hi], v[lo:hi]
         mc *= b1
         np.multiply(gc, 1.0 - b1, out=a)

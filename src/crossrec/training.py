@@ -6,11 +6,12 @@ Every model trained here exposes the same interface (params,
 forward() -> activations with o_u/o_i, backward(acts, do_u, do_i) ->
 grads), so the graph model, its ablations, and the factorization
 baseline all run through this exact code path. Each model owns its
-parameter vector, gradient vector and the scratch for its backward's
-deltas (model.FlatModel); a Trainer adds the Adam moments in the same
-layout. The BPR step writes a domain's triplet gradients as one sparse
-(users x items) matrix, whose products with the output tables are the
-tables' gradients.
+parameter and gradient vectors (model.FlatModel); a Trainer adds the
+Adam moments in the same layout. Nothing else outlives a step: the
+forward's caches and the backward's deltas are allocated by the call
+that uses them. The BPR step writes a domain's triplet gradients as
+one sparse (users x items) matrix, whose products with the output
+tables are the tables' gradients.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .data import SplitResult, split_leave_latest
 from .evaluation import build_eval_tasks, evaluate
 from .graph import HeteroGraph, build_graph
 from .model import DisentangledGraphModel, MfModel, check_settings
-from .numeric import AdamState, Scratch, adam_step, check_seed, finite_diff_grad
+from .numeric import AdamState, adam_step, check_seed, finite_diff_grad
 
 logger = logging.getLogger(__name__)
 
@@ -82,6 +83,9 @@ class TrainConfig:
             raise ValueError("triplets_per_epoch must be at least 1 (or none)")
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
+        if self.use_validation and self.eval_every > self.epochs:
+            raise ValueError(f"use_validation never validates: eval_every {self.eval_every} "
+                             f"exceeds epochs {self.epochs}")
         check_seed(self.seed)
         if self.num_eval_negatives < 1:
             raise ValueError("num_eval_negatives must be at least 1")
@@ -272,10 +276,6 @@ class Trainer:
         self.rngs = [np.random.default_rng([config.seed, TRIPLET_STREAM, d])
                      for d in range(self.graph.num_domains)]
         self.epoch = 0
-        # size the scratch for the backward's deltas (graph models keep
-        # some) now rather than in the first step: on M that halves an
-        # epoch's page faults in a fresh process
-        model.scratch.take(*model.delta_shapes())
 
     def _sample_all(self) -> list:
         return [sample_triplets(self.graph, d,
@@ -356,7 +356,6 @@ def fit(split: SplitResult, config: TrainConfig, log_stream=None) -> FitResult:
     if best is not None:
         best_epoch = best[1]
         model.param_vector[...] = best[2]
-    model.scratch = Scratch()  # the backward's deltas; an evaluated model needs none
     return FitResult(model=model, reports=reports, best_epoch=best_epoch)
 
 

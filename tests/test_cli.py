@@ -527,6 +527,19 @@ def test_train_refuses_sum_aggregation(tmp_path, tiny_tsv, capsys):
     assert not out.exists()
 
 
+def test_train_with_validation_that_never_validates_is_an_error(tmp_path, tiny_tsv, capsys):
+    # eval_every keeps its default of 10, more than the run's 3 epochs
+    out = tmp_path / "run"
+    rc = main(["train", "--config", train_cfg(tmp_path, epochs=3, use_validation="true"),
+               "--data", tiny_tsv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == ("error: use_validation never validates: eval_every 10 "
+                            "exceeds epochs 3\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("negatives", ["2", "1000000000000"])
 def test_eval_without_tasks_is_an_error(tmp_path, tiny_tsv, capsys, caplog, negatives):
     # 3 items per domain leave each user 1 eligible negative, fewer than asked for
@@ -765,6 +778,30 @@ def test_bench_appends_results(tmp_path, capsys, monkeypatch):
     assert rc == 1 and fits == ["mf", "full"]
     assert captured.out == "" and captured.err == "error: injected failure\n"
     assert open(os.path.join(out, "results.tsv"), "rb").read() == before
+    assert sorted(os.listdir(out)) == ["results.tsv"]
+
+
+def test_bench_reads_earlier_results_before_training(tmp_path, tiny_tsv, capsys, monkeypatch):
+    # a results.tsv that is not UTF-8 fails the run before any model trains
+    bench_cfg = tmp_path / "bench.cfg"
+    bench_cfg.write_text("modes=full\nseeds=0\nepochs=2\ndim=4\nlayers=1\n"
+                         "num_eval_negatives=1\n")
+    out = tmp_path / "bench"
+    out.mkdir()
+    results = out / "results.tsv"
+    before = b"\xffmode\tseed\n"
+    results.write_bytes(before)
+
+    def refusing_fit(split, config):
+        raise AssertionError("fit called")
+
+    monkeypatch.setattr(cli, "fit", refusing_fit)
+    rc = main(["bench", "--config", str(bench_cfg), "--data", tiny_tsv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {results}:1: not valid UTF-8\n"
+    assert results.read_bytes() == before
     assert sorted(os.listdir(out)) == ["results.tsv"]
 
 

@@ -1,10 +1,10 @@
 """Tests for the two-path conv model: forward against a nested-loop
 oracle, backward against finite differences, wiring invariants."""
 
-import math
 import struct
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,14 +300,38 @@ def test_backward_matches_finite_differences(mode, tie):
         assert grads_close(grads[name], numeric), f"gradient mismatch in {name}"
 
 
+def backward_peak(model, rng) -> int:
+    """tracemalloc's peak, in bytes, over one warm backward."""
+    acts = model.forward()
+    do_u = [rng.standard_normal(a.shape) for a in acts.o_u]
+    do_i = [rng.standard_normal(a.shape) for a in acts.o_i]
+    model.backward(acts, do_u, do_i)
+    tracemalloc.start()
+    try:
+        model.backward(acts, do_u, do_i)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_backward_keeps_two_layers_of_deltas_per_path():
-    # layer l's deltas share a buffer set with layer l + 2's, so at 3
-    # layers one set is zeroed and refilled; the gradients stay exact
-    model = small_model(seed=15, layers=3, dim=4, num_users=5, items=(4, 3), num_edges=10)
+    # layer l's deltas are dropped once layer l - 1's conv backward has
+    # run, so four more layers raise the peak by less than one layer's
+    # deltas; keeping every layer's would add four
+    peaks = {}
+    for layers in (2, 6):
+        rng = np.random.default_rng(16)
+        graph, _ = random_graph(rng, 300, (200, 150), 3000)
+        model = DisentangledGraphModel(graph, dim=32, layers=layers, seed=17)
+        peaks[layers] = backward_peak(model, rng)
     g = model.graph
-    rows = sum(g.num_users + sum(g.num_items_per_domain[d] for d in domains)
-               for _, domains in model.paths)
-    assert sum(math.prod(shape) for shape in model.delta_shapes()) == 2 * rows * model.dim
+    layer = 8 * model.dim * sum(g.num_users + sum(g.num_items_per_domain[d] for d in domains)
+                                for _, domains in model.paths)
+    assert peaks[6] - peaks[2] < layer, (peaks, layer)
+
+    # at 3 layers, layer 3's deltas are dropped before layer 1's are
+    # made; the gradients stay exact
+    model = small_model(seed=15, layers=3, dim=4, num_users=5, items=(4, 3), num_edges=10)
     rng = np.random.default_rng(16)
     acts = model.forward()
     weights_u = [rng.standard_normal(a.shape) for a in acts.o_u]
@@ -428,6 +452,45 @@ def test_threaded_conv_is_bitwise_the_serial_conv(monkeypatch):
         conv._conv_pool().shutdown()
         conv._conv_pool.cache_clear()
     assert sum(name.startswith("crossrec-conv") for name in threads) > 1
+
+
+def test_threaded_conv_allocates_on_the_calling_thread(monkeypatch):
+    # every array a layer's tasks write, caches and deltas alike, is
+    # allocated by the thread that runs forward or backward, so none
+    # lives in a pool thread's heap
+    rng = np.random.default_rng(24)
+    graph, _ = random_graph(rng, 40, (20, 15), 200)
+    model = DisentangledGraphModel(graph, dim=4, layers=3, seed=25)
+    monkeypatch.setattr(conv, "PARALLEL_MIN_ELEMENTS", 0)
+    allocations, tasks = [], []
+
+    class NotingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, *args, **kwargs):
+            allocations.append(("empty", threading.current_thread()))
+            return np.empty(*args, **kwargs)
+
+        def zeros(self, *args, **kwargs):
+            allocations.append(("zeros", threading.current_thread()))
+            return np.zeros(*args, **kwargs)
+
+    product = conv.neighbor_product
+
+    def noting_product(matrix, rows):
+        tasks.append(threading.current_thread())
+        return product(matrix, rows)
+
+    monkeypatch.setattr(conv, "np", NotingNumpy())
+    monkeypatch.setattr(conv, "neighbor_product", noting_product)
+    with time_limit(60.0):
+        acts = model.forward()
+        model.backward(acts, [rng.standard_normal(a.shape) for a in acts.o_u],
+                       [rng.standard_normal(a.shape) for a in acts.o_i])
+    assert {kind for kind, _ in allocations} == {"empty", "zeros"}
+    assert all(thread is threading.main_thread() for _, thread in allocations)
+    assert any(thread is not threading.main_thread() for thread in tasks)
 
 
 # -- wiring invariants ---------------------------------------------------------

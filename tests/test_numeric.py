@@ -9,7 +9,6 @@ from crossrec.numeric import (
     AdamState,
     CsrAggregator,
     FlatArrays,
-    Scratch,
     adam_step,
     check_finite,
     finite_diff_grad,
@@ -195,20 +194,6 @@ def test_flat_arrays_are_views_in_order():
     flat.views["c"][0, 1] = 9.0
     assert list(flat.data) == [0.0] * 6 + [7.0] * 4 + [0.0, 9.0]
     assert all(np.shares_memory(v, flat.data) for v in flat.views.values())
-
-
-def test_scratch_takes_overlap_and_grow():
-    scratch = Scratch()
-    assert scratch.data.size == 0
-    a, b = scratch.take((2, 2), (2,))
-    assert scratch.data.size == 6
-    assert np.shares_memory(a, scratch.data) and np.shares_memory(b, scratch.data)
-    assert not np.shares_memory(a, b)
-    (c,) = scratch.take((3,))
-    assert np.shares_memory(c, a)  # a later take reuses the same memory
-    (d,) = scratch.take((5, 2))
-    assert scratch.data.size == 10 and d.shape == (5, 2)
-    assert not np.shares_memory(d, a)
 
 
 def test_finite_diff_on_quadratic():

@@ -265,13 +265,10 @@ def test_trainer_is_bitwise_allocating_reference(mode, tie, layers, triplets):
         assert trainer.model.params.keys() == want.keys()
         for name, p in want.items():
             assert np.array_equal(trainer.model.params[name], p), (epoch, name)
-    # domain 0's batches lost triplets; the scratch holds the backward's
-    # deltas alone, whatever the batch sizes
+    # domain 0's batches lost triplets
     first = sample_triplets(graph, 0, triplets or graph.num_edges(0),
                             np.random.default_rng([7, TRIPLET_STREAM, 0]))
     assert len(first) < (triplets or graph.num_edges(0))
-    deltas = 0 if mode == "mf" else sum(math.prod(s) for s in trainer.model.delta_shapes())
-    assert trainer.model.scratch.data.size == deltas
 
 
 @pytest.mark.parametrize("mode", ["full", "mf"])
@@ -391,6 +388,17 @@ def test_train_config_validation():
             TrainConfig(seed=seed)
     TrainConfig(triplets_per_epoch=None, eval_every=1, num_eval_negatives=1, layers=1,
                 seed=2**64 - 1)
+
+
+def test_train_config_refuses_validation_that_never_validates():
+    # validation runs every eval_every epochs, so a run shorter than that
+    # would select no epoch and keep the validation split's model
+    for epochs, eval_every in ((3, 10), (0, 1), (4, 5)):
+        with pytest.raises(ValueError, match=f"^use_validation never validates: eval_every "
+                                             f"{eval_every} exceeds epochs {epochs}$"):
+            TrainConfig(epochs=epochs, use_validation=True, eval_every=eval_every)
+    TrainConfig(epochs=5, use_validation=True, eval_every=5)
+    TrainConfig(epochs=3, use_validation=False, eval_every=10)
 
 
 def test_train_config_rejects_an_unknown_mode():
@@ -520,8 +528,6 @@ def test_fit_runs_and_logs():
     lines = stream.getvalue().strip().splitlines()
     assert len(lines) == 5
     assert result.best_epoch is None
-    # the backward's deltas are released with the trainer
-    assert result.model.scratch.data.size == 0
 
 
 def test_fit_with_validation_selects_best_epoch():
@@ -533,7 +539,6 @@ def test_fit_with_validation_selects_best_epoch():
                          num_eval_negatives=3, triplets_per_epoch=32)
     result = fit(split, config)
     assert result.best_epoch in (2, 4, 6)
-    assert result.model.scratch.data.size == 0
 
 
 def test_fit_with_validation_but_no_tasks_raises():
